@@ -60,17 +60,12 @@ void Run() {
     options.read_offsets_ms = offsets;
     options.seed = 2002;
 
-    // RunStalenessExperiment builds its own cluster, so express failures
-    // through an equivalent pre-computed schedule via a crashed-replica
-    // workaround: we re-run the harness inline here with failures.
-    // (The harness exposes the cluster config only, so we reproduce the
-    // schedule through the options' seed-deterministic horizon.)
     kvs::StalenessExperimentResult result;
     if (variant.mtbf_ms == 0.0) {
       result = kvs::RunStalenessExperiment(options);
     } else {
-      result = kvs::RunStalenessExperimentWithFailures(
-          options, kvs::FailureSchedule::RandomCrashRecover(
+      result = kvs::RunStalenessExperimentWithFaults(
+          options, kvs::FaultSchedule::RandomCrashRecover(
                        options.cluster.quorum.n,
                        options.writes * options.write_spacing_ms,
                        variant.mtbf_ms, /*mttr_ms=*/10e3, /*seed=*/303));

@@ -50,11 +50,11 @@ void Run() {
       options.write_spacing_ms = spacing;
       options.read_offsets_ms = offsets;
       options.seed = 909;
-      const auto failures = kvs::FailureSchedule::RandomCrashRecover(
+      const auto failures = kvs::FaultSchedule::RandomCrashRecover(
           5, writes * spacing, mtbf_s * 1000.0, /*mttr_ms=*/5000.0,
           /*seed=*/910);
       const auto result =
-          kvs::RunStalenessExperimentWithFailures(options, failures);
+          kvs::RunStalenessExperimentWithFaults(options, failures);
 
       const std::string name =
           std::string(sloppy ? "sloppy+handoff" : "strict membership");

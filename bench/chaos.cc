@@ -32,8 +32,6 @@
 #include "kvs/failure.h"
 #include "obs/exporters.h"
 #include "util/parallel.h"
-#include "util/rng.h"
-#include "util/stats.h"
 
 namespace pbs {
 namespace {
@@ -53,7 +51,7 @@ struct Scenario {
 kvs::ChaosSummary RunScenario(const Scenario& scenario, bool hedged,
                               int trials, int writes,
                               const PbsExecutionOptions& exec) {
-  kvs::ChaosTrialOptions options;
+  kvs::CampaignOptions options;
   options.experiment.cluster.quorum = {3, 2, 2};  // strict: R + W > N
   options.experiment.cluster.legs = LnkdSsd();
   options.experiment.cluster.request_timeout_ms = 200.0;
@@ -68,108 +66,11 @@ kvs::ChaosSummary RunScenario(const Scenario& scenario, bool hedged,
   options.experiment.write_spacing_ms = 50.0;
   options.experiment.read_offsets_ms = {1.0, 10.0, 50.0};
   options.trials = trials;
-  options.seed = 4242;  // per-trial workload seeds derive from this
-  options.inject_faults = false;  // scenario installs its own schedule
-
-  // RunChaosTrials covers the random-gray case; scenario-specific schedules
-  // run the same per-trial seeding inline so every fault class shares the
-  // workload stream (paired comparison: hedging is the only variable).
-  const double max_offset = 50.0;
-  const double horizon =
-      static_cast<double>(options.experiment.writes + 1) *
-          options.experiment.write_spacing_ms +
-      max_offset + 3.0 * options.experiment.cluster.request_timeout_ms;
-
-  const int64_t num_chunks = NumChunks(trials, exec);
-  std::vector<Rng> streams = MakeJumpStreams(Rng(options.seed), num_chunks);
-  struct TrialOut {
-    kvs::ChaosSummary summary;
-    std::vector<double> reads;
-  };
-  std::vector<TrialOut> outs(trials);
-  ParallelFor(trials, exec, [&](int64_t chunk, int64_t begin, int64_t end) {
-    Rng& stream = streams[chunk];
-    for (int64_t t = begin; t < end; ++t) {
-      const uint64_t workload_seed = stream.Next();
-      const uint64_t fault_seed = stream.Next();
-      kvs::StalenessExperimentOptions experiment = options.experiment;
-      experiment.seed = workload_seed;
-      const kvs::FaultSchedule schedule = scenario.faults(horizon, fault_seed);
-      const kvs::StalenessExperimentResult run =
-          kvs::RunStalenessExperimentWithFaults(experiment, schedule);
-      kvs::ChaosSummary& s = outs[t].summary;
-      const kvs::ClusterMetrics& m = run.final_metrics;
-      s.reads_started = m.reads_started;
-      s.reads_failed = m.reads_failed;
-      s.writes_started = m.writes_started;
-      s.writes_failed = m.writes_failed;
-      s.hedged_reads_sent = m.hedged_reads_sent;
-      s.hedged_reads_won = m.hedged_reads_won;
-      s.duplicate_responses_suppressed = m.duplicate_responses_suppressed;
-      s.duplicate_acks_suppressed = m.duplicate_acks_suppressed;
-      s.client_read_retries = m.client_read_retries;
-      s.client_write_retries = m.client_write_retries;
-      s.client_deadline_misses = m.client_deadline_misses;
-      s.consistency_downgrades = m.consistency_downgrades;
-      s.monotonic_read_violations = m.monotonic_read_violations;
-      s.messages_dropped = run.network_messages_dropped;
-      s.messages_duplicated = run.network_messages_duplicated;
-      s.fault_activations = m.fault_slow_node_activations +
-                            m.fault_lossy_link_activations +
-                            m.fault_flapping_activations +
-                            m.fault_asymmetric_partition_activations;
-      s.probe_offsets_ms = experiment.read_offsets_ms;
-      s.probe_trials.assign(s.probe_offsets_ms.size(), 0);
-      s.probe_consistent.assign(s.probe_offsets_ms.size(), 0);
-      for (const auto& point : run.t_visibility) {
-        for (size_t i = 0; i < s.probe_offsets_ms.size(); ++i) {
-          if (point.t == s.probe_offsets_ms[i]) {
-            s.probe_trials[i] = point.trials;
-            s.probe_consistent[i] = point.consistent;
-          }
-        }
-      }
-      outs[t].reads = run.read_latencies;
-    }
-  });
-
-  kvs::ChaosSummary pooled;
-  pooled.probe_offsets_ms = options.experiment.read_offsets_ms;
-  pooled.probe_trials.assign(3, 0);
-  pooled.probe_consistent.assign(3, 0);
-  std::vector<double> read_pool;
-  for (const TrialOut& out : outs) {
-    const kvs::ChaosSummary& s = out.summary;
-    pooled.reads_started += s.reads_started;
-    pooled.reads_failed += s.reads_failed;
-    pooled.writes_started += s.writes_started;
-    pooled.writes_failed += s.writes_failed;
-    pooled.hedged_reads_sent += s.hedged_reads_sent;
-    pooled.hedged_reads_won += s.hedged_reads_won;
-    pooled.duplicate_responses_suppressed += s.duplicate_responses_suppressed;
-    pooled.duplicate_acks_suppressed += s.duplicate_acks_suppressed;
-    pooled.client_read_retries += s.client_read_retries;
-    pooled.client_write_retries += s.client_write_retries;
-    pooled.client_deadline_misses += s.client_deadline_misses;
-    pooled.consistency_downgrades += s.consistency_downgrades;
-    pooled.monotonic_read_violations += s.monotonic_read_violations;
-    pooled.messages_dropped += s.messages_dropped;
-    pooled.messages_duplicated += s.messages_duplicated;
-    pooled.fault_activations += s.fault_activations;
-    for (size_t i = 0; i < pooled.probe_offsets_ms.size(); ++i) {
-      pooled.probe_trials[i] += s.probe_trials[i];
-      pooled.probe_consistent[i] += s.probe_consistent[i];
-    }
-    read_pool.insert(read_pool.end(), out.reads.begin(), out.reads.end());
-  }
-  std::sort(read_pool.begin(), read_pool.end());
-  if (!read_pool.empty()) {
-    pooled.read_p50 = QuantileSorted(read_pool, 0.50);
-    pooled.read_p99 = QuantileSorted(read_pool, 0.99);
-    pooled.read_p999 = QuantileSorted(read_pool, 0.999);
-    pooled.read_max = read_pool.back();
-  }
-  return pooled;
+  // Every fault class shares the per-trial workload stream (paired
+  // comparison: hedging is the only variable).
+  options.seed = 4242;
+  options.faults = scenario.faults;
+  return kvs::RunCampaign(options, exec).pooled;
 }
 
 void WriteJson(const std::filesystem::path& path, const std::string& mode,
@@ -261,9 +162,10 @@ void WriteTraceArtifacts(const std::filesystem::path& dir, int writes) {
   options.write_spacing_ms = 50.0;
   options.read_offsets_ms = {1.0, 10.0, 50.0};
   options.seed = 777;
-  const double horizon = static_cast<double>(options.writes + 1) *
-                             options.write_spacing_ms +
-                         50.0 + 3.0 * options.cluster.request_timeout_ms;
+  const double horizon =
+      kvs::DrainHorizonMs(options.writes, options.write_spacing_ms,
+                          options.read_offsets_ms,
+                          options.cluster.request_timeout_ms);
   kvs::FaultSchedule schedule;
   schedule.AddSlowNode(0.0, horizon, /*node=*/0, /*delay_mult=*/10.0);
   const kvs::StalenessExperimentResult run =

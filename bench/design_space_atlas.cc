@@ -54,7 +54,7 @@ void Run() {
   csv.WriteHeader({"scenario", "n", "r", "w", "strict", "t999_ms",
                    "read_p999_ms", "write_p999_ms", "p_consistent_t0"});
 
-  for (const std::string scenario :
+  for (const std::string& scenario :
        {std::string("LNKD-SSD"), std::string("LNKD-DISK"),
         std::string("YMMR")}) {
     std::vector<Cell> cells;

@@ -24,7 +24,7 @@ void Run() {
   CsvWriter csv(std::string(bench::kResultsDir) + "/fig7_quorum_sizing.csv");
   csv.WriteHeader({"scenario", "n", "t_ms", "p_consistent"});
 
-  for (const std::string scenario_name :
+  for (const std::string& scenario_name :
        {std::string("LNKD-DISK"), std::string("LNKD-SSD"),
         std::string("WAN")}) {
     std::vector<std::string> header = {"N"};

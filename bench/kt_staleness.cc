@@ -33,7 +33,14 @@ void Run() {
   PredictorOptions predictor_options;
   predictor_options.trials = 300000;
   predictor_options.seed = 4040;
-  PbsPredictor predictor(config, model, predictor_options);
+  const StatusOr<PbsPredictor> created =
+      PbsPredictor::Create(config, model, predictor_options);
+  if (!created.ok()) {
+    std::cerr << "cannot build predictor: " << created.status().message()
+              << "\n";
+    return;
+  }
+  const PbsPredictor& predictor = created.value();
 
   for (double mean : inter_arrival_means) {
     TextTable table({"t \\ k", "k=1 (MC)", "k=1 (Eq.5)", "k=2 (MC)",

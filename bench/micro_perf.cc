@@ -33,7 +33,6 @@
 #include "dist/production.h"
 #include "dist/sampler.h"
 #include "kvs/experiment.h"
-#include "kvs/hotpath.h"
 #include "obs/registry.h"
 #include "sim/simulator.h"
 #include "util/parallel.h"
@@ -189,20 +188,6 @@ BenchResult BenchEventChurn(int64_t events) {
   });
 }
 
-BenchResult BenchKvsHotPath(int64_t ops) {
-  // Headline: the compiled quorum hot path (kvs/hotpath.h) — the
-  // pass-structured, sharded engine. One op = one committed write or one
-  // probe read, same WARS legs and quorum as kvs_cluster_ops_legacy below.
-  return RunBench("kvs_cluster_ops", "op", ops, [&](int64_t n) {
-    kvs::HotPathOptions options;
-    options.num_streams = 128;
-    options.writes_per_stream =
-        std::max<int64_t>(1, n / (2 * options.num_streams));
-    const kvs::HotPathResult result = kvs::RunHotPath(options);
-    g_sink = result.consistency();
-  });
-}
-
 kvs::StalenessExperimentOptions KvsBenchOptions(int64_t ops) {
   kvs::StalenessExperimentOptions options;
   options.cluster.quorum = {3, 1, 1};
@@ -214,11 +199,11 @@ kvs::StalenessExperimentOptions KvsBenchOptions(int64_t ops) {
   return options;
 }
 
-BenchResult BenchKvsLegacy(int64_t ops) {
-  // End-to-end cost per operation in the general per-message KVS engine
-  // (one op = one write or one read; each write issues one read at +1 ms).
-  // Kept as the baseline the hot path is measured against.
-  return RunBench("kvs_cluster_ops_legacy", "op", ops, [&](int64_t n) {
+BenchResult BenchKvsClusterOps(int64_t ops) {
+  // Headline: end-to-end cost per operation in the per-message KVS engine
+  // that pbs simulate and every campaign run (one op = one write or one
+  // read; each write issues one read at +1 ms).
+  return RunBench("kvs_cluster_ops", "op", ops, [&](int64_t n) {
     const auto result = kvs::RunStalenessExperiment(KvsBenchOptions(n));
     g_sink = result.read_latencies.empty() ? 0.0
                                            : result.read_latencies[0];
@@ -234,7 +219,7 @@ BenchResult BenchKvsTelemetry(int64_t ops) {
   // carries ~1000 ops — the sim workload runs ~200 op/s of sim time, far
   // below any production cadence, and a 1 s window here would model a
   // near-idle cluster rather than a hot one. Paired against
-  // kvs_cluster_ops_legacy for the <3% monitoring budget.
+  // kvs_cluster_ops for the <3% monitoring budget.
   return RunBench("kvs_cluster_ops_telemetry", "op", ops, [&](int64_t n) {
     kvs::StalenessExperimentOptions options = KvsBenchOptions(n);
     options.cluster.sla =
@@ -311,11 +296,10 @@ int Main(int argc, char** argv) {
   const int64_t kSamples = small ? 1 << 16 : 1 << 23;
   const int64_t kTrials = small ? 10000 : 1000000;
   const int64_t kEvents = small ? 20000 : 2000000;
-  // Full-mode legacy run is sized for ~0.5s of work: at ~2.7 us/op a 20k-op
-  // run finishes in ~50 ms, which is inside this box's timer noise and made
-  // the bench-regress gate flap.
+  // Full-mode KVS runs are sized for ~0.5s of work: at ~2.7 us/op a 20k-op
+  // run finishes in ~50 ms, which is inside timer noise and made the
+  // bench-regress gate flap.
   const int64_t kOps = small ? 200 : 200000;
-  const int64_t kHotOps = small ? 1 << 17 : 1 << 24;
 
   std::printf("micro_perf (%s mode)\n", small ? "small" : "full");
   std::vector<BenchResult> results;
@@ -383,10 +367,8 @@ int Main(int argc, char** argv) {
 
   // Discrete-event simulator and end-to-end KVS.
   results.push_back(BenchEventChurn(kEvents));
-  const BenchResult kvs_hot = BenchKvsHotPath(kHotOps);
-  results.push_back(kvs_hot);
-  const BenchResult kvs_legacy = BenchKvsLegacy(kOps);
-  results.push_back(kvs_legacy);
+  const BenchResult kvs_ops = BenchKvsClusterOps(kOps);
+  results.push_back(kvs_ops);
 
   // Streaming-telemetry overhead, paired in-process against the same KVS
   // workload: windowed time-series + drift monitor must cost < 3% per op
@@ -395,8 +377,8 @@ int Main(int argc, char** argv) {
   const BenchResult kvs_telemetry = BenchKvsTelemetry(kOps);
   results.push_back(kvs_telemetry);
   const double telemetry_overhead_pct =
-      100.0 * (kvs_telemetry.NsPerItem() / kvs_legacy.NsPerItem() - 1.0);
-  std::printf("streaming-telemetry overhead on kvs_cluster_ops_legacy: "
+      100.0 * (kvs_telemetry.NsPerItem() / kvs_ops.NsPerItem() - 1.0);
+  std::printf("streaming-telemetry overhead on kvs_cluster_ops: "
               "%+.2f%% (budget: +3%%)\n",
               telemetry_overhead_pct);
   if (!small && telemetry_overhead_pct > 3.0) {
@@ -407,25 +389,13 @@ int Main(int argc, char** argv) {
     overhead_ok = false;
   }
 
-  // Throughput gate: the compiled hot path must sustain >= 5M simulated
-  // ops/s in full mode (the "close the 70x gap" target; the legacy
-  // per-message engine runs ~100 Kops/s on the same hardware).
-  bool hotpath_ok = true;
-  if (!small && kvs_hot.ItemsPerSecond() < 5e6) {
-    std::fprintf(stderr,
-                 "FAIL: kvs_cluster_ops %.3e ops/s is below the 5e6 ops/s "
-                 "gate\n",
-                 kvs_hot.ItemsPerSecond());
-    hotpath_ok = false;
-  }
-
   std::error_code ec;
   std::filesystem::create_directories(out_dir, ec);
   const std::filesystem::path dir(out_dir);
   WriteJson(dir / "BENCH_micro_perf.json", small ? "small" : "full", results);
   WriteCsv(dir / "BENCH_micro_perf.csv", results);
   std::printf("wrote %s/BENCH_micro_perf.{json,csv}\n", out_dir.c_str());
-  return overhead_ok && hotpath_ok ? 0 : 1;
+  return overhead_ok ? 0 : 1;
 }
 
 }  // namespace

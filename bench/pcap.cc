@@ -9,7 +9,7 @@
 // harness runs (a) the full static (R, W) lattice at N=3 with the knobs the
 // controller starts from (hedging off, single attempt) and (b) the same
 // workload with the ConsistencyController active. All cells share the same
-// per-trial seed stream (RunControllerTrials both ways), so the controller
+// per-trial seed stream (RunCampaign both ways), so the controller
 // is the only variable.
 //
 // Headline check: in both scenarios the controller meets BOTH bounds while
@@ -88,9 +88,9 @@ struct Cell {
   }
 };
 
-kvs::ControllerTrialOptions BaseOptions(const Scenario& scenario, int trials,
+kvs::CampaignOptions BaseOptions(const Scenario& scenario, int trials,
                                         int writes) {
-  kvs::ControllerTrialOptions options;
+  kvs::CampaignOptions options;
   options.experiment.cluster.quorum = {3, 1, 2};
   options.experiment.cluster.legs = LnkdDisk();
   options.experiment.cluster.request_timeout_ms = 200.0;
@@ -107,11 +107,10 @@ kvs::ControllerTrialOptions BaseOptions(const Scenario& scenario, int trials,
   return options;
 }
 
-Cell RunCell(const Scenario& scenario, kvs::ControllerTrialOptions options,
+Cell RunCell(const Scenario& scenario, kvs::CampaignOptions options,
              const std::string& label, bool controller,
              const PbsExecutionOptions& exec) {
-  const kvs::ControllerCampaignResult result =
-      kvs::RunControllerTrials(options, exec);
+  const kvs::CampaignResult result = kvs::RunCampaign(options, exec);
   Cell cell;
   cell.scenario = scenario.name;
   cell.config = label;
@@ -127,13 +126,13 @@ Cell RunCell(const Scenario& scenario, kvs::ControllerTrialOptions options,
   cell.reads = pooled.reads_started;
   cell.reads_failed = pooled.reads_failed;
   cell.digest = result.pooled_digest;
-  for (const kvs::ControllerCampaignSummary& trial : result.trials) {
+  for (const kvs::CampaignTrialSummary& trial : result.trials) {
     cell.decisions += trial.decisions;
     cell.steps += trial.steps;
     cell.rollbacks += trial.rollbacks;
   }
   if (controller && !result.trials.empty()) {
-    const kvs::ControllerCampaignSummary& last = result.trials.back();
+    const kvs::CampaignTrialSummary& last = result.trials.back();
     char buffer[96];
     std::snprintf(buffer, sizeof buffer,
                   "R=[%d..%d] mix=%.2f W=%d hedge=%s retries=%d",
@@ -353,7 +352,7 @@ int Main(int argc, char** argv) {
     // starting point (hedging off, single attempt).
     for (int r = 1; r <= 3; ++r) {
       for (int w = 1; w <= 3; ++w) {
-        kvs::ControllerTrialOptions options =
+        kvs::CampaignOptions options =
             BaseOptions(scenario, trials, writes);
         options.experiment.cluster.quorum = {3, r, w};
         char label[16];
@@ -369,7 +368,7 @@ int Main(int argc, char** argv) {
       }
     }
     // The closed loop, starting from the same lattice.
-    kvs::ControllerTrialOptions options =
+    kvs::CampaignOptions options =
         BaseOptions(scenario, trials, writes);
     options.experiment.cluster.sla = sla;
     options.experiment.cluster.controller.enabled = true;

@@ -46,7 +46,14 @@ int main(int argc, char** argv) {
       PredictorOptions options;
       options.trials = 100000;
       options.collect_propagation = false;
-      PbsPredictor predictor(config.value(), model, options);
+      const StatusOr<PbsPredictor> created =
+          PbsPredictor::Create(config.value(), model, options);
+      if (!created.ok()) {
+        std::cerr << "cannot build predictor: " << created.status().message()
+                  << "\n";
+        return 1;
+      }
+      const PbsPredictor& predictor = created.value();
       table.AddRow({kvs::ToString(read_level), kvs::ToString(write_level),
                     config.value().IsStrict() ? "strict" : "partial",
                     FormatDouble(predictor.ProbConsistent(0.0), 4),

@@ -76,10 +76,9 @@ void RunStalenessProbeDemo() {
   options.write_spacing_ms = 250.0;
   options.read_offsets_ms = {0.0, 5.0, 10.0, 25.0, 50.0};
   // One crash/recover cycle per ~100 s per replica.
-  const auto failures = kvs::FailureSchedule::RandomCrashRecover(
+  const auto failures = kvs::FaultSchedule::RandomCrashRecover(
       3, 4000 * 250.0, /*mtbf_ms=*/100e3, /*mttr_ms=*/5e3, /*seed=*/9);
-  const auto result =
-      kvs::RunStalenessExperimentWithFailures(options, failures);
+  const auto result = kvs::RunStalenessExperimentWithFaults(options, failures);
 
   TextTable table({"t after commit (ms)", "P(consistent)", "probes"});
   for (const auto& point : result.t_visibility) {

@@ -32,7 +32,14 @@ int main(int argc, char** argv) {
   const auto model = pbs::MakeIidModel(pbs::LnkdDisk(), config.n);
   pbs::PredictorOptions options;
   options.trials = 200000;
-  pbs::PbsPredictor predictor(config, model, options);
+  const pbs::StatusOr<pbs::PbsPredictor> created =
+      pbs::PbsPredictor::Create(config, model, options);
+  if (!created.ok()) {
+    std::cerr << "cannot build predictor: " << created.status().message()
+              << "\n";
+    return 1;
+  }
+  const pbs::PbsPredictor& predictor = created.value();
 
   std::cout << "PBS predictions for " << config.ToString()
             << " over LNKD-DISK latencies\n";

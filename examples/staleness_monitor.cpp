@@ -25,7 +25,16 @@ int main() {
   const QuorumConfig quorum{3, 1, 1};
 
   std::cout << "Offline PBS prediction (what the operator expects):\n";
-  PbsPredictor predictor(quorum, MakeIidModel(legs, 3), {.trials = 200000});
+  PredictorOptions options;
+  options.trials = 200000;
+  const StatusOr<PbsPredictor> created =
+      PbsPredictor::Create(quorum, MakeIidModel(legs, 3), options);
+  if (!created.ok()) {
+    std::cerr << "cannot build predictor: " << created.status().message()
+              << "\n";
+    return 1;
+  }
+  const PbsPredictor& predictor = created.value();
   std::printf("  P(consistent | t=0)  = %.4f\n",
               predictor.ProbConsistent(0.0));
   std::printf("  99.9%% window         = %.1f ms\n\n",

@@ -88,8 +88,16 @@ int main(int argc, char** argv) {
                    "Lr p99.9 (ms)", "Lw p99.9 (ms)"});
   for (const QuorumConfig candidate :
        {QuorumConfig{3, 1, 1}, QuorumConfig{3, 2, 1}, QuorumConfig{3, 2, 2}}) {
-    PbsPredictor predictor(candidate, MakeIidModel(measured, 3),
-                           {.trials = 150000});
+    PredictorOptions options;
+    options.trials = 150000;
+    const StatusOr<PbsPredictor> created =
+        PbsPredictor::Create(candidate, MakeIidModel(measured, 3), options);
+    if (!created.ok()) {
+      std::cerr << "cannot build predictor: " << created.status().message()
+                << "\n";
+      return 1;
+    }
+    const PbsPredictor& predictor = created.value();
     table.AddRow(candidate.ToString(),
                  {predictor.ProbConsistent(0.0),
                   predictor.TimeForConsistency(0.999),

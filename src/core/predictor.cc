@@ -247,14 +247,6 @@ StatusOr<PbsPredictor> PbsPredictor::Create(const QuorumConfig& config,
   return StatusOr<PbsPredictor>(std::move(predictor));
 }
 
-PbsPredictor::PbsPredictor(const QuorumConfig& config,
-                           ReplicaLatencyModelPtr model,
-                           const PredictorOptions& options) {
-  auto created = Create(config, std::move(model), options);
-  assert(created.ok() && "invalid PbsPredictor arguments; see Create()");
-  *this = std::move(created.value());
-}
-
 double PbsPredictor::KTStalenessUpperBound(int k, double t) const {
   const auto pw = engine_->WritePropagationCdfAt(t);
   return KTStalenessBound(config_, pw, k);

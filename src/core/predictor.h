@@ -100,12 +100,6 @@ class PbsPredictor {
                                        ReplicaLatencyModelPtr model,
                                        const PredictorOptions& options = {});
 
-  /// Transitional constructor, delegating to Create; invalid arguments
-  /// that Create would reject abort in debug builds (the historical
-  /// contract). New code should prefer Create.
-  PbsPredictor(const QuorumConfig& config, ReplicaLatencyModelPtr model,
-               const PredictorOptions& options);
-
   const QuorumConfig& config() const { return config_; }
 
   /// The engine kind answering distributional queries (kAuto resolved).

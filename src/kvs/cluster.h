@@ -445,6 +445,9 @@ class Cluster {
   /// Records the pre-change ring snapshot and kicks the migrator.
   void BeginRebalance(ConsistentHashRing snapshot);
 
+  // Declared first so it is destroyed last: pending ops, storage, hints and
+  // in-flight message closures in sim_ all hold VersionRefs into it.
+  VersionArena version_arena_;
   KvsConfig config_;
   int num_storage_nodes_;
   Simulator sim_;
@@ -457,7 +460,6 @@ class Cluster {
   LateReadHook late_read_hook_;
   LegProfiler* leg_profiler_ = nullptr;
   uint64_t next_request_id_ = 1;
-  VersionArena version_arena_;
   // Scratch for RoutingReplicasForInto's previous-ring walk; mutable because
   // the query is logically const and the simulation is single-threaded.
   mutable std::vector<int> routing_scratch_;

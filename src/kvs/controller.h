@@ -196,8 +196,8 @@ class ConsistencyController {
 /// Serializes a decision stream as JSONL "decision" typed lines, each with
 /// its inline "candidates" array — appendable after the time-series and
 /// monitor exports so one telemetry artifact carries the controller's
-/// per-epoch candidate audit (consumed by obs::RenderDashboardHtml and
-/// tools/pbs_report.py). Byte-deterministic.
+/// per-epoch candidate audit (consumed by obs::RenderDashboardHtml).
+/// Byte-deterministic.
 std::string DecisionsJsonl(
     const std::vector<ConsistencyController::Decision>& decisions);
 

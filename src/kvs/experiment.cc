@@ -16,19 +16,10 @@
 namespace pbs {
 namespace kvs {
 
-double StalenessExperimentResult::ProbConsistentAt(double t) const {
-  for (const auto& point : t_visibility) {
-    if (point.t == t) return point.ProbConsistent();
-  }
-  assert(false && "offset was not probed");
-  return 0.0;
-}
-
 namespace {
 
 StalenessExperimentResult RunStalenessExperimentImpl(
-    const StalenessExperimentOptions& options,
-    const FailureSchedule* failures, const FaultSchedule* faults = nullptr) {
+    const StalenessExperimentOptions& options, const FaultSchedule* faults) {
   assert(options.writes >= 1);
   assert(!options.read_offsets_ms.empty());
 
@@ -50,7 +41,6 @@ StalenessExperimentResult RunStalenessExperimentImpl(
   cluster.StartTelemetry();
   cluster.StartAntiEntropy();
   if (config.sloppy_quorums) cluster.StartFailureDetector();
-  if (failures != nullptr) failures->InstallOn(&cluster);
   if (faults != nullptr) faults->InstallOn(&cluster);
 
   const Key key = 0;
@@ -121,15 +111,10 @@ StalenessExperimentResult RunStalenessExperimentImpl(
     });
   }
 
-  // Drain. Anti-entropy reschedules forever, so always bound the run: the
-  // last write starts at writes * spacing; probes finish within the largest
-  // offset + timeout.
-  const double max_offset = *std::max_element(options.read_offsets_ms.begin(),
-                                              options.read_offsets_ms.end());
-  const double horizon = static_cast<double>(options.writes + 1) *
-                             options.write_spacing_ms +
-                         max_offset + 3.0 * config.request_timeout_ms;
-  cluster.sim().RunUntil(horizon);
+  cluster.sim().RunUntil(DrainHorizonMs(options.writes,
+                                        options.write_spacing_ms,
+                                        options.read_offsets_ms,
+                                        config.request_timeout_ms));
 
   result.t_visibility = by_offset.Points();
   result.detector_stale = detector.stale();
@@ -168,31 +153,50 @@ StalenessExperimentResult RunStalenessExperimentImpl(
 
 }  // namespace
 
+double DrainHorizonMs(int writes, double write_spacing_ms,
+                      std::span<const double> read_offsets_ms,
+                      double request_timeout_ms) {
+  double max_offset = 0.0;
+  for (const double offset : read_offsets_ms) {
+    max_offset = std::max(max_offset, offset);
+  }
+  return static_cast<double>(writes + 1) * write_spacing_ms + max_offset +
+         3.0 * request_timeout_ms;
+}
+
 StalenessExperimentResult RunStalenessExperiment(
     const StalenessExperimentOptions& options) {
   return RunStalenessExperimentImpl(options, nullptr);
 }
 
-StalenessExperimentResult RunStalenessExperimentWithFailures(
-    const StalenessExperimentOptions& options,
-    const FailureSchedule& failures) {
-  return RunStalenessExperimentImpl(options, &failures);
-}
-
 StalenessExperimentResult RunStalenessExperimentWithFaults(
-    const StalenessExperimentOptions& options, const FaultSchedule& faults,
-    const FailureSchedule* failures) {
-  return RunStalenessExperimentImpl(options, failures, &faults);
+    const StalenessExperimentOptions& options, const FaultSchedule& faults) {
+  return RunStalenessExperimentImpl(options, &faults);
 }
 
 namespace {
 
-/// Digest of one experiment run; latency pools ride along (outside the
-/// summary) so campaign-level quantiles can be recomputed exactly.
+/// Fills the latency quantiles of `s` from unsorted latency pools.
+void SetLatencyQuantiles(std::vector<double> reads,
+                         std::vector<double> writes, ChaosSummary* s) {
+  std::sort(reads.begin(), reads.end());
+  std::sort(writes.begin(), writes.end());
+  if (!reads.empty()) {
+    s->read_p50 = QuantileSorted(reads, 0.50);
+    s->read_p99 = QuantileSorted(reads, 0.99);
+    s->read_p999 = QuantileSorted(reads, 0.999);
+    s->read_max = reads.back();
+  }
+  if (!writes.empty()) {
+    s->write_p50 = QuantileSorted(writes, 0.50);
+    s->write_p99 = QuantileSorted(writes, 0.99);
+    s->write_p999 = QuantileSorted(writes, 0.999);
+  }
+}
+
+/// Digest of one experiment run.
 ChaosSummary Summarize(const StalenessExperimentOptions& options,
-                       const StalenessExperimentResult& run,
-                       std::vector<double>* read_pool,
-                       std::vector<double>* write_pool) {
+                       const StalenessExperimentResult& run) {
   ChaosSummary s;
   const ClusterMetrics& m = run.final_metrics;
   s.reads_started = m.reads_started;
@@ -214,21 +218,7 @@ ChaosSummary Summarize(const StalenessExperimentOptions& options,
       m.fault_slow_node_activations + m.fault_lossy_link_activations +
       m.fault_flapping_activations + m.fault_asymmetric_partition_activations;
 
-  std::vector<double> reads = run.read_latencies;
-  std::sort(reads.begin(), reads.end());
-  std::vector<double> writes = run.write_latencies;
-  std::sort(writes.begin(), writes.end());
-  if (!reads.empty()) {
-    s.read_p50 = QuantileSorted(reads, 0.50);
-    s.read_p99 = QuantileSorted(reads, 0.99);
-    s.read_p999 = QuantileSorted(reads, 0.999);
-    s.read_max = reads.back();
-  }
-  if (!writes.empty()) {
-    s.write_p50 = QuantileSorted(writes, 0.50);
-    s.write_p99 = QuantileSorted(writes, 0.99);
-    s.write_p999 = QuantileSorted(writes, 0.999);
-  }
+  SetLatencyQuantiles(run.read_latencies, run.write_latencies, &s);
 
   s.probe_offsets_ms = options.read_offsets_ms;
   s.probe_trials.assign(s.probe_offsets_ms.size(), 0);
@@ -242,216 +232,81 @@ ChaosSummary Summarize(const StalenessExperimentOptions& options,
       }
     }
   }
-
-  if (read_pool != nullptr) {
-    read_pool->insert(read_pool->end(), run.read_latencies.begin(),
-                      run.read_latencies.end());
-  }
-  if (write_pool != nullptr) {
-    write_pool->insert(write_pool->end(), run.write_latencies.begin(),
-                       run.write_latencies.end());
-  }
   return s;
 }
 
 }  // namespace
 
-ChaosCampaignResult RunChaosTrials(const ChaosTrialOptions& options,
-                                   const PbsExecutionOptions& exec) {
+CampaignResult RunCampaign(const CampaignOptions& options,
+                           const PbsExecutionOptions& exec) {
   assert(options.trials >= 1);
-  const int64_t trials = options.trials;
-  const int64_t num_chunks = NumChunks(trials, exec);
-  std::vector<Rng> streams = MakeJumpStreams(Rng(options.seed), num_chunks);
-
-  const double max_offset =
-      *std::max_element(options.experiment.read_offsets_ms.begin(),
-                        options.experiment.read_offsets_ms.end());
+  const StalenessExperimentOptions& base = options.experiment;
   const double horizon =
-      static_cast<double>(options.experiment.writes + 1) *
-          options.experiment.write_spacing_ms +
-      max_offset + 3.0 * options.experiment.cluster.request_timeout_ms;
+      DrainHorizonMs(base.writes, base.write_spacing_ms, base.read_offsets_ms,
+                     base.cluster.request_timeout_ms);
 
   struct TrialOutput {
-    ChaosSummary summary;
+    CampaignTrialSummary summary;
     std::vector<double> read_latencies;
     std::vector<double> write_latencies;
     obs::Registry registry;
   };
-  std::vector<TrialOutput> outputs(trials);
+  std::vector<TrialOutput> outputs =
+      ParallelTrials(options.trials, options.seed, exec, [&](Rng& stream) {
+        // Workload seed, then fault seed, with or without a factory.
+        StalenessExperimentOptions experiment = base;
+        experiment.seed = stream.Next();
+        const uint64_t fault_seed = stream.Next();
+        StalenessExperimentResult run =
+            options.faults
+                ? RunStalenessExperimentWithFaults(
+                      experiment, options.faults(horizon, fault_seed))
+                : RunStalenessExperiment(experiment);
+        TrialOutput out;
+        CampaignTrialSummary& summary = out.summary;
+        summary.chaos = Summarize(experiment, run);
+        summary.decision_digest = run.controller_digest;
+        summary.decisions =
+            static_cast<int64_t>(run.controller_decisions.size());
+        summary.steps = run.final_metrics.controller_steps;
+        summary.rollbacks = run.final_metrics.controller_rollbacks;
+        summary.reads_fresh_measured = run.final_metrics.reads_fresh_measured;
+        summary.reads_stale_measured = run.final_metrics.reads_stale_measured;
+        summary.monitor_windows =
+            static_cast<int64_t>(run.monitor_samples.size());
+        summary.monitor_alerts =
+            static_cast<int64_t>(run.monitor_alerts.size());
+        if (!run.telemetry_jsonl.empty()) {
+          uint64_t hash = 14695981039346656037ULL;
+          for (const char ch : run.telemetry_jsonl) {
+            hash ^= static_cast<unsigned char>(ch);
+            hash *= 1099511628211ULL;
+          }
+          summary.telemetry_digest = hash;
+        }
+        if (!run.controller_history.empty()) {
+          const obs::AdaptationRecord& last = run.controller_history.back();
+          summary.final_r_lo = last.r_lo;
+          summary.final_r_hi = last.r_hi;
+          summary.final_w = last.w;
+          summary.final_mix = last.mix;
+          summary.final_hedge = last.hedge_enabled;
+          summary.final_hedge_quantile = last.hedge_quantile;
+          summary.final_retry_attempts = last.retry_max_attempts;
+        }
+        out.read_latencies = std::move(run.read_latencies);
+        out.write_latencies = std::move(run.write_latencies);
+        out.registry = std::move(run.registry);
+        return out;
+      });
 
-  ParallelFor(trials, exec,
-              [&](int64_t chunk_index, int64_t begin, int64_t end) {
-                Rng& stream = streams[chunk_index];
-                for (int64_t t = begin; t < end; ++t) {
-                  // Two sequential draws per trial from the chunk's
-                  // sub-stream: the workload seed and the fault seed.
-                  const uint64_t workload_seed = stream.Next();
-                  const uint64_t fault_seed = stream.Next();
-                  StalenessExperimentOptions experiment = options.experiment;
-                  experiment.seed = workload_seed;
-                  StalenessExperimentResult run;
-                  if (options.inject_faults) {
-                    const FaultSchedule faults =
-                        FaultSchedule::RandomGrayFailures(
-                            experiment.cluster.quorum.n, horizon,
-                            options.fault_mean_interarrival_ms,
-                            options.fault_mean_duration_ms, fault_seed);
-                    run = RunStalenessExperimentWithFaults(experiment, faults);
-                  } else {
-                    run = RunStalenessExperiment(experiment);
-                  }
-                  TrialOutput& out = outputs[t];
-                  out.summary = Summarize(experiment, run,
-                                          &out.read_latencies,
-                                          &out.write_latencies);
-                  out.registry = std::move(run.registry);
-                }
-              });
-
-  ChaosCampaignResult result;
-  result.trials.reserve(trials);
+  CampaignResult result;
+  result.trials.reserve(options.trials);
   std::vector<double> read_pool;
   std::vector<double> write_pool;
   obs::Registry campaign_registry;
   ChaosSummary& pooled = result.pooled;
-  pooled.probe_offsets_ms = options.experiment.read_offsets_ms;
-  pooled.probe_trials.assign(pooled.probe_offsets_ms.size(), 0);
-  pooled.probe_consistent.assign(pooled.probe_offsets_ms.size(), 0);
-  for (TrialOutput& out : outputs) {  // trial order: deterministic merge
-    const ChaosSummary& s = out.summary;
-    pooled.reads_started += s.reads_started;
-    pooled.reads_failed += s.reads_failed;
-    pooled.writes_started += s.writes_started;
-    pooled.writes_failed += s.writes_failed;
-    pooled.hedged_reads_sent += s.hedged_reads_sent;
-    pooled.hedged_reads_won += s.hedged_reads_won;
-    pooled.duplicate_responses_suppressed += s.duplicate_responses_suppressed;
-    pooled.duplicate_acks_suppressed += s.duplicate_acks_suppressed;
-    pooled.client_read_retries += s.client_read_retries;
-    pooled.client_write_retries += s.client_write_retries;
-    pooled.client_deadline_misses += s.client_deadline_misses;
-    pooled.consistency_downgrades += s.consistency_downgrades;
-    pooled.monotonic_read_violations += s.monotonic_read_violations;
-    pooled.messages_dropped += s.messages_dropped;
-    pooled.messages_duplicated += s.messages_duplicated;
-    pooled.fault_activations += s.fault_activations;
-    for (size_t i = 0; i < pooled.probe_offsets_ms.size(); ++i) {
-      pooled.probe_trials[i] += s.probe_trials[i];
-      pooled.probe_consistent[i] += s.probe_consistent[i];
-    }
-    read_pool.insert(read_pool.end(), out.read_latencies.begin(),
-                     out.read_latencies.end());
-    write_pool.insert(write_pool.end(), out.write_latencies.begin(),
-                      out.write_latencies.end());
-    campaign_registry.Merge(out.registry);
-    result.trials.push_back(std::move(out.summary));
-  }
-  result.metrics_jsonl = obs::MetricsJsonl(campaign_registry);
-  std::sort(read_pool.begin(), read_pool.end());
-  std::sort(write_pool.begin(), write_pool.end());
-  if (!read_pool.empty()) {
-    pooled.read_p50 = QuantileSorted(read_pool, 0.50);
-    pooled.read_p99 = QuantileSorted(read_pool, 0.99);
-    pooled.read_p999 = QuantileSorted(read_pool, 0.999);
-    pooled.read_max = read_pool.back();
-  }
-  if (!write_pool.empty()) {
-    pooled.write_p50 = QuantileSorted(write_pool, 0.50);
-    pooled.write_p99 = QuantileSorted(write_pool, 0.99);
-    pooled.write_p999 = QuantileSorted(write_pool, 0.999);
-  }
-  return result;
-}
-
-ControllerCampaignResult RunControllerTrials(
-    const ControllerTrialOptions& options, const PbsExecutionOptions& exec) {
-  assert(options.trials >= 1);
-  const int64_t trials = options.trials;
-  const int64_t num_chunks = NumChunks(trials, exec);
-  std::vector<Rng> streams = MakeJumpStreams(Rng(options.seed), num_chunks);
-
-  const double max_offset =
-      *std::max_element(options.experiment.read_offsets_ms.begin(),
-                        options.experiment.read_offsets_ms.end());
-  const double horizon =
-      static_cast<double>(options.experiment.writes + 1) *
-          options.experiment.write_spacing_ms +
-      max_offset + 3.0 * options.experiment.cluster.request_timeout_ms;
-
-  struct TrialOutput {
-    ControllerCampaignSummary summary;
-    std::vector<double> read_latencies;
-    std::vector<double> write_latencies;
-  };
-  std::vector<TrialOutput> outputs(trials);
-
-  ParallelFor(trials, exec,
-              [&](int64_t chunk_index, int64_t begin, int64_t end) {
-                Rng& stream = streams[chunk_index];
-                for (int64_t t = begin; t < end; ++t) {
-                  // Same two sequential draws per trial as RunChaosTrials
-                  // (workload then fault seed), whether or not a fault
-                  // factory is installed — the draw count per trial is
-                  // fixed.
-                  const uint64_t workload_seed = stream.Next();
-                  const uint64_t fault_seed = stream.Next();
-                  StalenessExperimentOptions experiment = options.experiment;
-                  experiment.seed = workload_seed;
-                  StalenessExperimentResult run;
-                  if (options.faults) {
-                    const FaultSchedule faults =
-                        options.faults(horizon, fault_seed);
-                    run = RunStalenessExperimentWithFaults(experiment, faults);
-                  } else {
-                    run = RunStalenessExperiment(experiment);
-                  }
-                  TrialOutput& out = outputs[t];
-                  out.summary.chaos = Summarize(experiment, run,
-                                                &out.read_latencies,
-                                                &out.write_latencies);
-                  out.summary.decision_digest = run.controller_digest;
-                  out.summary.decisions =
-                      static_cast<int64_t>(run.controller_decisions.size());
-                  out.summary.steps = run.final_metrics.controller_steps;
-                  out.summary.rollbacks =
-                      run.final_metrics.controller_rollbacks;
-                  out.summary.reads_fresh_measured =
-                      run.final_metrics.reads_fresh_measured;
-                  out.summary.reads_stale_measured =
-                      run.final_metrics.reads_stale_measured;
-                  out.summary.monitor_windows =
-                      static_cast<int64_t>(run.monitor_samples.size());
-                  out.summary.monitor_alerts =
-                      static_cast<int64_t>(run.monitor_alerts.size());
-                  if (!run.telemetry_jsonl.empty()) {
-                    uint64_t hash = 14695981039346656037ULL;
-                    for (const char ch : run.telemetry_jsonl) {
-                      hash ^= static_cast<unsigned char>(ch);
-                      hash *= 1099511628211ULL;
-                    }
-                    out.summary.telemetry_digest = hash;
-                  }
-                  if (!run.controller_history.empty()) {
-                    const obs::AdaptationRecord& last =
-                        run.controller_history.back();
-                    out.summary.final_r_lo = last.r_lo;
-                    out.summary.final_r_hi = last.r_hi;
-                    out.summary.final_w = last.w;
-                    out.summary.final_mix = last.mix;
-                    out.summary.final_hedge = last.hedge_enabled;
-                    out.summary.final_hedge_quantile = last.hedge_quantile;
-                    out.summary.final_retry_attempts =
-                        last.retry_max_attempts;
-                  }
-                }
-              });
-
-  ControllerCampaignResult result;
-  result.trials.reserve(trials);
-  std::vector<double> read_pool;
-  std::vector<double> write_pool;
-  ChaosSummary& pooled = result.pooled;
-  pooled.probe_offsets_ms = options.experiment.read_offsets_ms;
+  pooled.probe_offsets_ms = base.read_offsets_ms;
   pooled.probe_trials.assign(pooled.probe_offsets_ms.size(), 0);
   pooled.probe_consistent.assign(pooled.probe_offsets_ms.size(), 0);
   uint64_t digest = 14695981039346656037ULL;
@@ -482,6 +337,7 @@ ControllerCampaignResult RunControllerTrials(
                      out.read_latencies.end());
     write_pool.insert(write_pool.end(), out.write_latencies.begin(),
                       out.write_latencies.end());
+    campaign_registry.Merge(out.registry);
     for (int bit = 0; bit < 64; bit += 8) {
       digest ^= (out.summary.decision_digest >> bit) & 0xFF;
       digest *= 1099511628211ULL;
@@ -494,19 +350,8 @@ ControllerCampaignResult RunControllerTrials(
   }
   result.pooled_digest = digest;
   result.pooled_telemetry_digest = telemetry_digest;
-  std::sort(read_pool.begin(), read_pool.end());
-  std::sort(write_pool.begin(), write_pool.end());
-  if (!read_pool.empty()) {
-    pooled.read_p50 = QuantileSorted(read_pool, 0.50);
-    pooled.read_p99 = QuantileSorted(read_pool, 0.99);
-    pooled.read_p999 = QuantileSorted(read_pool, 0.999);
-    pooled.read_max = read_pool.back();
-  }
-  if (!write_pool.empty()) {
-    pooled.write_p50 = QuantileSorted(write_pool, 0.50);
-    pooled.write_p99 = QuantileSorted(write_pool, 0.99);
-    pooled.write_p999 = QuantileSorted(write_pool, 0.999);
-  }
+  result.metrics_jsonl = obs::MetricsJsonl(campaign_registry);
+  SetLatencyQuantiles(std::move(read_pool), std::move(write_pool), &pooled);
   return result;
 }
 

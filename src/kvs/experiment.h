@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -108,10 +109,15 @@ struct StalenessExperimentResult {
   /// overload of obs::WriteMetricsJsonl so `pbs simulate --metrics-out`
   /// artifacts carry their own provenance line.
   obs::MetricsSnapshotHeader metrics_header;
-
-  /// P(consistent | t) for a probed offset (asserts the offset was probed).
-  double ProbConsistentAt(double t) const;
 };
+
+/// Where a staleness run stops. Anti-entropy reschedules forever, so every
+/// run is bounded: one write spacing past the last write start, plus the
+/// largest probe offset, plus three request timeouts for the last probes to
+/// finish. Fault schedules are cut against the same horizon.
+double DrainHorizonMs(int writes, double write_spacing_ms,
+                      std::span<const double> read_offsets_ms,
+                      double request_timeout_ms);
 
 /// Builds a cluster per `options.cluster` (forcing two dedicated
 /// coordinators: one for writes, one for reads), runs the harness and
@@ -119,21 +125,12 @@ struct StalenessExperimentResult {
 StalenessExperimentResult RunStalenessExperiment(
     const StalenessExperimentOptions& options);
 
-/// As above, but installs the fail-stop schedule on the cluster before
-/// running (Section 6 "Failure modes" experiments).
-class FailureSchedule;
-StalenessExperimentResult RunStalenessExperimentWithFailures(
-    const StalenessExperimentOptions& options,
-    const FailureSchedule& failures);
-
-/// As above, but installs a gray-fault schedule (slow nodes, bursty lossy
-/// links, flapping, one-way partitions) before running. Fail-stop and gray
-/// faults compose: pass both when a scenario needs crashes *and* gray
-/// degradation.
+/// As above, but installs a fault schedule (fail-stop crashes, slow nodes,
+/// bursty lossy links, flapping, one-way partitions) before running
+/// (Section 6 "Failure modes" and the chaos experiments).
 class FaultSchedule;
 StalenessExperimentResult RunStalenessExperimentWithFaults(
-    const StalenessExperimentOptions& options, const FaultSchedule& faults,
-    const FailureSchedule* failures = nullptr);
+    const StalenessExperimentOptions& options, const FaultSchedule& faults);
 
 /// Scalar digest of one (or a pool of) chaos experiment run(s). Everything
 /// is either an exact integer counter or a quantile of a deterministically
@@ -182,68 +179,34 @@ struct ChaosSummary {
   friend bool operator==(const ChaosSummary&, const ChaosSummary&) = default;
 };
 
-/// A chaos campaign: `trials` independent seeded runs of the staleness
-/// harness, each under its own RandomGrayFailures schedule. Trial t derives
-/// its workload and fault seeds from the t-th draws of a Jump()-partitioned
-/// stream, so the campaign is bitwise identical at any thread count (the
-/// (seed, chunk_size) contract of util/parallel.h).
-struct ChaosTrialOptions {
-  StalenessExperimentOptions experiment;  // per-trial seed is overridden
-  int trials = 8;
-
-  /// RandomGrayFailures knobs; inject_faults=false runs the same workload
-  /// fault-free (the hedging on/off baseline).
-  bool inject_faults = true;
-  double fault_mean_interarrival_ms = 4000.0;
-  double fault_mean_duration_ms = 1500.0;
-
-  uint64_t seed = 99;
-};
-
-struct ChaosCampaignResult {
-  /// Per-trial summaries in trial order (index = trial id).
-  std::vector<ChaosSummary> trials;
-  /// Everything pooled: counters added, latency quantiles recomputed over
-  /// the concatenated (trial-ordered, then sorted) latency pools.
-  ChaosSummary pooled;
-  /// The campaign's merged instrument registry (per-trial registries merged
-  /// in trial order), serialized as JSON lines. A string rather than a live
-  /// Registry so the defaulted operator== makes thread-count determinism of
-  /// the merge directly assertable (and the artifact directly uploadable).
-  std::string metrics_jsonl;
-
-  friend bool operator==(const ChaosCampaignResult&,
-                         const ChaosCampaignResult&) = default;
-};
-
-ChaosCampaignResult RunChaosTrials(const ChaosTrialOptions& options,
-                                   const PbsExecutionOptions& exec);
-
-/// A closed-loop controller campaign: like RunChaosTrials, but each trial
-/// runs the staleness harness with the ConsistencyController active
-/// (options.experiment.cluster.controller.enabled) under a caller-supplied
-/// FaultSchedule factory — the deterministic hook bench/pcap and the
-/// determinism tests use to pin named chaos scenarios (10x slow replica,
-/// flapping node) instead of RandomGrayFailures. With the controller
-/// disabled the same runner (same per-trial seeding) yields the paired
-/// static-configuration baseline; decision fields then stay zero.
-struct ControllerTrialOptions {
+/// A seeded campaign: `trials` independent runs of the staleness harness,
+/// each under the fault schedule `faults` builds for it. Trial t takes two
+/// draws from its chunk's Jump()-partitioned stream (ParallelTrials in
+/// util/parallel.h): the workload seed, then the fault seed, whether or not
+/// a factory is installed. The campaign is therefore bitwise identical at
+/// any thread count, and adding a fault factory never moves the workload
+/// stream. A chaos campaign passes a FaultSchedule::RandomGrayFailures
+/// factory. A controller campaign enables experiment.cluster.controller;
+/// the same campaign with it disabled is the paired static baseline.
+struct CampaignOptions {
   StalenessExperimentOptions experiment;  // per-trial seed is overridden
   int trials = 4;
 
-  /// Builds the trial's gray-fault schedule from the run horizon and the
-  /// trial's fault seed; null runs fault-free. Must be a pure function of
-  /// its arguments (it is called from worker threads).
+  /// Builds the trial's fault schedule from the run horizon
+  /// (DrainHorizonMs) and the trial's fault seed; null runs fault-free.
+  /// Must be a pure function of its arguments (it is called from worker
+  /// threads).
   std::function<FaultSchedule(double horizon_ms, uint64_t seed)> faults;
 
   uint64_t seed = 202;
 };
 
-/// Per-trial digest of a controller campaign run: the chaos scalars plus
-/// the decision stream digest, decision/step/rollback counts, the final
-/// knob state and the measured freshness counters. Fully ==-comparable for
-/// the thread-count determinism pins.
-struct ControllerCampaignSummary {
+/// Per-trial digest of a campaign run: the chaos scalars plus the
+/// controller's decision stream digest, decision/step/rollback counts, the
+/// final knob state and the measured freshness counters (controller fields
+/// stay zero when the controller is off). Fully ==-comparable for the
+/// thread-count determinism pins.
+struct CampaignTrialSummary {
   ChaosSummary chaos;
   uint64_t decision_digest = 0;
   int64_t decisions = 0;
@@ -259,19 +222,21 @@ struct ControllerCampaignSummary {
   int64_t reads_fresh_measured = 0;
   int64_t reads_stale_measured = 0;
 
-  /// Streaming-telemetry pins (0 when the trial ran telemetry-off, so
-  /// pre-telemetry campaign pins are unaffected): FNV-1a over the trial's
-  /// composed telemetry JSONL, plus the monitor's window/alert counts.
+  /// Streaming-telemetry pins (0 when the trial ran telemetry-off): FNV-1a
+  /// over the trial's composed telemetry JSONL, plus the monitor's
+  /// window/alert counts.
   uint64_t telemetry_digest = 0;
   int64_t monitor_windows = 0;
   int64_t monitor_alerts = 0;
 
-  friend bool operator==(const ControllerCampaignSummary&,
-                         const ControllerCampaignSummary&) = default;
+  friend bool operator==(const CampaignTrialSummary&,
+                         const CampaignTrialSummary&) = default;
 };
 
-struct ControllerCampaignResult {
-  std::vector<ControllerCampaignSummary> trials;  // trial order
+struct CampaignResult {
+  std::vector<CampaignTrialSummary> trials;  // trial order
+  /// Everything pooled: counters added, latency quantiles recomputed over
+  /// the concatenated (trial-ordered, then sorted) latency pools.
   ChaosSummary pooled;
   /// FNV-1a over the per-trial decision digests in trial order — one
   /// number that pins the whole campaign's decision history bitwise.
@@ -280,13 +245,18 @@ struct ControllerCampaignResult {
   /// basis when every trial ran telemetry-off) — pins windowed registries,
   /// monitor streams and decision exports across thread counts.
   uint64_t pooled_telemetry_digest = 0;
+  /// The campaign's merged instrument registry (per-trial registries merged
+  /// in trial order), serialized as JSON lines. A string rather than a live
+  /// Registry so the defaulted operator== makes thread-count determinism of
+  /// the merge directly assertable (and the artifact directly uploadable).
+  std::string metrics_jsonl;
 
-  friend bool operator==(const ControllerCampaignResult&,
-                         const ControllerCampaignResult&) = default;
+  friend bool operator==(const CampaignResult&,
+                         const CampaignResult&) = default;
 };
 
-ControllerCampaignResult RunControllerTrials(
-    const ControllerTrialOptions& options, const PbsExecutionOptions& exec);
+CampaignResult RunCampaign(const CampaignOptions& options,
+                           const PbsExecutionOptions& exec);
 
 }  // namespace kvs
 }  // namespace pbs

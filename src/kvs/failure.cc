@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
+#include <limits>
 
 #include "dist/primitives.h"
 #include "kvs/cluster.h"
@@ -10,64 +12,12 @@
 namespace pbs {
 namespace kvs {
 
-void FailureSchedule::AddCrash(double time, NodeId node) {
-  events_.push_back({time, node, FailureEvent::Kind::kCrash});
-}
-
-void FailureSchedule::AddRecover(double time, NodeId node) {
-  events_.push_back({time, node, FailureEvent::Kind::kRecover});
-}
-
-void FailureSchedule::InstallOn(Cluster* cluster) const {
-  assert(cluster != nullptr);
-  for (const FailureEvent& event : events_) {
-    Node* node = &cluster->node(event.node);
-    const auto kind = event.kind;
-    cluster->sim().At(event.time, [node, kind]() {
-      if (kind == FailureEvent::Kind::kCrash) {
-        node->Crash();
-      } else {
-        node->Recover();
-      }
-    });
-  }
-}
-
-FailureSchedule FailureSchedule::RandomCrashRecover(int num_replicas,
-                                                    double horizon_ms,
-                                                    double mtbf_ms,
-                                                    double mttr_ms,
-                                                    uint64_t seed) {
-  assert(num_replicas >= 1);
-  assert(horizon_ms > 0.0);
-  assert(mtbf_ms > 0.0);
-  assert(mttr_ms > 0.0);
-  FailureSchedule schedule;
-  Rng rng(seed);
-  const ExponentialDistribution up(1.0 / mtbf_ms);
-  const ExponentialDistribution down(1.0 / mttr_ms);
-  for (int node = 0; node < num_replicas; ++node) {
-    double t = up.Sample(rng);
-    while (t < horizon_ms) {
-      schedule.AddCrash(t, node);
-      t += down.Sample(rng);
-      if (t >= horizon_ms) break;
-      schedule.AddRecover(t, node);
-      t += up.Sample(rng);
-    }
-  }
-  return schedule;
-}
-
-// ---------------------------------------------------------------------------
-// Gray failures
-
 void FaultSchedule::AddSlowNode(double start, double end, NodeId node,
                                 double delay_mult, double delay_add_ms) {
   assert(end > start);
   assert(delay_mult >= 1.0 || delay_add_ms > 0.0);
-  GrayFault fault;
-  fault.kind = GrayFault::Kind::kSlowNode;
+  Fault fault;
+  fault.kind = Fault::Kind::kSlowNode;
   fault.start = start;
   fault.end = end;
   fault.node = node;
@@ -79,8 +29,8 @@ void FaultSchedule::AddSlowNode(double start, double end, NodeId node,
 void FaultSchedule::AddLinkFault(double start, double end, NodeId src,
                                  NodeId dst, const FaultProfile& profile) {
   assert(end > start);
-  GrayFault fault;
-  fault.kind = GrayFault::Kind::kLossyLink;
+  Fault fault;
+  fault.kind = Fault::Kind::kLossyLink;
   fault.start = start;
   fault.end = end;
   fault.src = src;
@@ -113,8 +63,8 @@ void FaultSchedule::AddFlappingNode(double start, double end, NodeId node,
                                     double up_ms, double down_ms) {
   assert(end > start);
   assert(up_ms > 0.0 && down_ms > 0.0);
-  GrayFault fault;
-  fault.kind = GrayFault::Kind::kFlappingNode;
+  Fault fault;
+  fault.kind = Fault::Kind::kFlappingNode;
   fault.start = start;
   fault.end = end;
   fault.node = node;
@@ -126,8 +76,8 @@ void FaultSchedule::AddFlappingNode(double start, double end, NodeId node,
 void FaultSchedule::AddAsymmetricPartition(double start, double end,
                                            NodeId src, NodeId dst) {
   assert(end > start);
-  GrayFault fault;
-  fault.kind = GrayFault::Kind::kAsymmetricPartition;
+  Fault fault;
+  fault.kind = Fault::Kind::kAsymmetricPartition;
   fault.start = start;
   fault.end = end;
   fault.src = src;
@@ -135,11 +85,21 @@ void FaultSchedule::AddAsymmetricPartition(double start, double end,
   faults_.push_back(fault);
 }
 
+void FaultSchedule::AddCrash(double start, double end, NodeId node) {
+  assert(end > start);
+  Fault fault;
+  fault.kind = Fault::Kind::kCrash;
+  fault.start = start;
+  fault.end = end;
+  fault.node = node;
+  faults_.push_back(fault);
+}
+
 void FaultSchedule::InstallOn(Cluster* cluster) const {
   assert(cluster != nullptr);
-  for (const GrayFault& fault : faults_) {
+  for (const Fault& fault : faults_) {
     switch (fault.kind) {
-      case GrayFault::Kind::kSlowNode: {
+      case Fault::Kind::kSlowNode: {
         const NodeId node = fault.node;
         const FaultProfile profile = fault.profile;
         cluster->sim().At(fault.start, [cluster, node, profile]() {
@@ -151,7 +111,7 @@ void FaultSchedule::InstallOn(Cluster* cluster) const {
         });
         break;
       }
-      case GrayFault::Kind::kLossyLink: {
+      case Fault::Kind::kLossyLink: {
         const NodeId src = fault.src;
         const NodeId dst = fault.dst;
         const FaultProfile profile = fault.profile;
@@ -164,7 +124,7 @@ void FaultSchedule::InstallOn(Cluster* cluster) const {
         });
         break;
       }
-      case GrayFault::Kind::kFlappingNode: {
+      case Fault::Kind::kFlappingNode: {
         // Unroll the duty cycle into crash/recover pairs; the node is
         // always left up at fault.end.
         const NodeId id = fault.node;
@@ -180,7 +140,7 @@ void FaultSchedule::InstallOn(Cluster* cluster) const {
         }
         break;
       }
-      case GrayFault::Kind::kAsymmetricPartition: {
+      case Fault::Kind::kAsymmetricPartition: {
         const NodeId src = fault.src;
         const NodeId dst = fault.dst;
         cluster->sim().At(fault.start, [cluster, src, dst]() {
@@ -190,6 +150,14 @@ void FaultSchedule::InstallOn(Cluster* cluster) const {
         cluster->sim().At(fault.end, [cluster, src, dst]() {
           cluster->network().SetOneWayPartitioned(src, dst, false);
         });
+        break;
+      }
+      case Fault::Kind::kCrash: {
+        Node* node = &cluster->node(fault.node);
+        cluster->sim().At(fault.start, [node]() { node->Crash(); });
+        if (std::isfinite(fault.end)) {
+          cluster->sim().At(fault.end, [node]() { node->Recover(); });
+        }
         break;
       }
     }
@@ -236,6 +204,35 @@ FaultSchedule FaultSchedule::RandomGrayFailures(int num_replicas,
       }
     }
     t += spacing.Sample(rng);
+  }
+  return schedule;
+}
+
+FaultSchedule FaultSchedule::RandomCrashRecover(int num_replicas,
+                                                double horizon_ms,
+                                                double mtbf_ms, double mttr_ms,
+                                                uint64_t seed) {
+  assert(num_replicas >= 1);
+  assert(horizon_ms > 0.0);
+  assert(mtbf_ms > 0.0);
+  assert(mttr_ms > 0.0);
+  FaultSchedule schedule;
+  Rng rng(seed);
+  const ExponentialDistribution up(1.0 / mtbf_ms);
+  const ExponentialDistribution down(1.0 / mttr_ms);
+  for (int node = 0; node < num_replicas; ++node) {
+    double t = up.Sample(rng);
+    while (t < horizon_ms) {
+      const double crash = t;
+      t += down.Sample(rng);
+      if (t >= horizon_ms) {
+        schedule.AddCrash(crash, std::numeric_limits<double>::infinity(),
+                          node);
+        break;
+      }
+      schedule.AddCrash(crash, t, node);
+      t += up.Sample(rng);
+    }
   }
   return schedule;
 }

@@ -12,58 +12,26 @@ namespace kvs {
 
 class Cluster;
 
-/// A timed fail-stop event (Section 6 "Failure modes": crashed replicas
-/// behave like an N-F replica set until they recover; staleness shows up in
-/// the tails).
-struct FailureEvent {
-  enum class Kind { kCrash, kRecover };
-
-  double time = 0.0;
-  NodeId node = 0;
-  Kind kind = Kind::kCrash;
-};
-
-/// A deterministic schedule of crash/recover events, installable on a
-/// cluster before (or while) it runs.
-class FailureSchedule {
- public:
-  void AddCrash(double time, NodeId node);
-  void AddRecover(double time, NodeId node);
-
-  const std::vector<FailureEvent>& events() const { return events_; }
-
-  /// Schedules every event on the cluster's simulator.
-  void InstallOn(Cluster* cluster) const;
-
-  /// Generates an independent crash/repair process per replica over
-  /// [0, horizon): exponential time-to-failure with mean `mtbf_ms`, then
-  /// exponential repair with mean `mttr_ms`, repeating.
-  static FailureSchedule RandomCrashRecover(int num_replicas,
-                                            double horizon_ms, double mtbf_ms,
-                                            double mttr_ms, uint64_t seed);
-
- private:
-  std::vector<FailureEvent> events_;
-};
-
-/// One timed gray failure. Unlike FailureEvent's fail-stop crashes, these
-/// model the slow-but-alive states real clusters degrade into: a node whose
-/// every reply takes 10x as long, a link that drops messages in bursts or
-/// delivers them twice, a node that flaps up and down faster than hint
-/// delivery converges, and the one-way partition where A hears B but B never
-/// hears A.
-struct GrayFault {
+/// One timed fault. Fail-stop crashes (Section 6 "Failure modes": crashed
+/// replicas behave like an N-F replica set until they recover; staleness
+/// shows up in the tails) sit next to the gray failures real clusters
+/// degrade into: a node whose every reply takes 10x as long, a link that
+/// drops messages in bursts or delivers them twice, a node that flaps up and
+/// down faster than hint delivery converges, and the one-way partition where
+/// A hears B but B never hears A.
+struct Fault {
   enum class Kind {
     kSlowNode,            // FaultProfile on every message `node` sends
     kLossyLink,           // Gilbert-Elliott loss (and/or dup) on src -> dst
     kFlappingNode,        // crash/recover cycling at up_ms/down_ms
     kAsymmetricPartition, // src -> dst blocked; dst -> src delivers
+    kCrash,               // fail-stop: node down, recovers at end (if finite)
   };
 
   Kind kind = Kind::kSlowNode;
   double start = 0.0;
   double end = 0.0;            // fault is active over [start, end)
-  NodeId node = -1;            // kSlowNode / kFlappingNode
+  NodeId node = -1;            // kSlowNode / kFlappingNode / kCrash
   NodeId src = -1;             // link faults
   NodeId dst = -1;
   FaultProfile profile;        // kSlowNode / kLossyLink parameters
@@ -71,11 +39,10 @@ struct GrayFault {
   double down_ms = 0.0;
 };
 
-/// A deterministic schedule of gray failures, the injection side of the
-/// chaos experiments. Generalizes FailureSchedule beyond crash/recover; both
-/// can be installed on the same cluster. Overlapping faults on the same
-/// node/link are last-writer-wins at install time (keep them disjoint for
-/// predictable runs).
+/// A deterministic schedule of faults, the injection side of the failure and
+/// chaos experiments. Overlapping faults on the same node/link are
+/// last-writer-wins at install time (keep them disjoint for predictable
+/// runs).
 class FaultSchedule {
  public:
   /// Every message `node` sends over [start, end) is delayed by
@@ -108,15 +75,29 @@ class FaultSchedule {
   void AddAsymmetricPartition(double start, double end, NodeId src,
                               NodeId dst);
 
-  /// Appends an already-built fault (merging schedules).
-  void Add(const GrayFault& fault) { faults_.push_back(fault); }
+  /// Fail-stop crash: `node` goes down at `start` and recovers at `end`
+  /// (storage survives, as in a process restart). An infinite `end` never
+  /// recovers.
+  void AddCrash(double start, double end, NodeId node);
 
-  const std::vector<GrayFault>& faults() const { return faults_; }
+  /// Appends an already-built fault (merging schedules).
+  void Add(const Fault& fault) { faults_.push_back(fault); }
+
+  const std::vector<Fault>& faults() const { return faults_; }
 
   /// Schedules installation (at fault.start) and removal (at fault.end) of
-  /// every fault on the cluster's simulator and network. Each activation
-  /// bumps the per-kind counters in ClusterMetrics.
+  /// every fault on the cluster's simulator and network. Each gray-fault
+  /// activation bumps the per-kind counters in ClusterMetrics; crashes
+  /// count nothing.
   void InstallOn(Cluster* cluster) const;
+
+  /// An independent crash/repair process per replica over [0, horizon):
+  /// exponential time-to-failure with mean `mtbf_ms`, then exponential
+  /// repair with mean `mttr_ms`, repeating. A repair that would land at or
+  /// past the horizon is dropped, so the node's last crash is open-ended.
+  static FaultSchedule RandomCrashRecover(int num_replicas, double horizon_ms,
+                                          double mtbf_ms, double mttr_ms,
+                                          uint64_t seed);
 
   /// Generates a seeded random mix of gray failures over [0, horizon):
   /// fault arrivals are Poisson with mean spacing `mean_interarrival_ms`,
@@ -131,7 +112,7 @@ class FaultSchedule {
                                           uint64_t seed);
 
  private:
-  std::vector<GrayFault> faults_;
+  std::vector<Fault> faults_;
 };
 
 }  // namespace kvs

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "kvs/client.h"
+#include "kvs/experiment.h"
 #include "obs/exporters.h"
 #include "util/stats.h"
 
@@ -177,9 +178,9 @@ RebalanceRunSummary RunRebalanceExperiment(const RebalanceRunOptions& options,
 
   // Drain the workload, then keep stepping until every rebalance settles
   // (migration streams pace themselves; bound the wait regardless).
-  double horizon = static_cast<double>(options.writes + 1) *
-                       options.write_spacing_ms +
-                   options.read_offset_ms + 3.0 * config.request_timeout_ms;
+  double horizon =
+      DrainHorizonMs(options.writes, options.write_spacing_ms,
+                     {&options.read_offset_ms, 1}, config.request_timeout_ms);
   cluster.sim().RunUntil(horizon);
   const double drain_step =
       std::max(4.0 * config.rebalance.stream_interval_ms, 100.0);
@@ -278,33 +279,22 @@ RebalanceRunSummary RunRebalanceExperiment(const RebalanceRunOptions& options,
 RebalanceCampaignResult RunRebalanceTrials(const RebalanceTrialOptions& options,
                                            const PbsExecutionOptions& exec) {
   assert(options.trials >= 1);
-  const int64_t trials = options.trials;
-  const int64_t num_chunks = NumChunks(trials, exec);
-  std::vector<Rng> streams = MakeJumpStreams(Rng(options.seed), num_chunks);
-
   struct TrialOutput {
     RebalanceRunSummary summary;
     obs::Registry registry;
   };
-  std::vector<TrialOutput> outputs(trials);
-
-  ParallelFor(trials, exec,
-              [&](int64_t chunk_index, int64_t begin, int64_t end) {
-                Rng& stream = streams[chunk_index];
-                for (int64_t t = begin; t < end; ++t) {
-                  // One draw per trial from the chunk's sub-stream: the
-                  // trial's experiment seed. Fixed consumption keeps the
-                  // campaign bitwise identical at any thread count.
-                  const uint64_t trial_seed = stream.Next();
-                  RebalanceRunOptions run = options.run;
-                  run.seed = trial_seed;
-                  TrialOutput& out = outputs[t];
-                  out.summary = RunRebalanceExperiment(run, &out.registry);
-                }
-              });
+  // One draw per trial: the trial's experiment seed.
+  std::vector<TrialOutput> outputs =
+      ParallelTrials(options.trials, options.seed, exec, [&](Rng& stream) {
+        RebalanceRunOptions run = options.run;
+        run.seed = stream.Next();
+        TrialOutput out;
+        out.summary = RunRebalanceExperiment(run, &out.registry);
+        return out;
+      });
 
   RebalanceCampaignResult result;
-  result.trials.reserve(trials);
+  result.trials.reserve(options.trials);
   obs::Registry campaign_registry;
   for (TrialOutput& out : outputs) {  // trial order: deterministic merge
     const RebalanceRunSummary& s = out.summary;

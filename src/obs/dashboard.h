@@ -15,9 +15,7 @@ namespace obs {
 /// prediction, per-window drift score, and mitigation traffic; tables:
 /// raised alerts and the controller's per-epoch candidate audit.
 /// Unknown line types are ignored, so the artifact schema can grow.
-///
-/// tools/pbs_report.py renders the same artifact with the Python stdlib;
-/// this renderer backs `pbs report` and `pbs simulate --dashboard-out=`.
+/// Backs `pbs report` and `pbs simulate --dashboard-out=`.
 std::string RenderDashboardHtml(const std::string& telemetry_jsonl,
                                 const std::string& title);
 

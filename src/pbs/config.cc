@@ -1,6 +1,5 @@
 #include "pbs/config.h"
 
-#include <algorithm>
 #include <cstdlib>
 #include <map>
 
@@ -80,7 +79,7 @@ Status ParseFaultSpec(const std::string& spec, double horizon_ms,
             get("replicas", static_cast<double>(default_gray_replicas))),
         horizon_ms, get("interarrival", 4000.0), get("duration", 1500.0),
         static_cast<uint64_t>(get("seed", 7.0)));
-    for (const kvs::GrayFault& fault : random.faults()) {
+    for (const kvs::Fault& fault : random.faults()) {
       schedule->Add(fault);
     }
   } else {
@@ -189,13 +188,8 @@ Status Config::Validate() const {
 }
 
 double Config::HorizonMs() const {
-  double max_offset = 0.0;
-  for (double offset : workload.read_offsets_ms) {
-    max_offset = std::max(max_offset, offset);
-  }
-  return static_cast<double>(workload.writes + 1) *
-             workload.write_spacing_ms +
-         max_offset + 3.0 * request_timeout_ms;
+  return kvs::DrainHorizonMs(workload.writes, workload.write_spacing_ms,
+                             workload.read_offsets_ms, request_timeout_ms);
 }
 
 StatusOr<kvs::KvsConfig> Config::BuildKvsConfig() const {

@@ -271,9 +271,9 @@ struct Config {
     return ScenarioModel(scenario, quorum.n);
   }
 
-  /// The harness drain bound: last write start + slowest probe offset +
-  /// 3 request timeouts (the same formula the experiment runner uses, so
-  /// fault schedules built against it cover the whole run).
+  /// The harness drain bound, kvs::DrainHorizonMs of this workload (the
+  /// horizon the experiment runner stops at, so fault schedules built
+  /// against it cover the whole run).
   double HorizonMs() const;
 
   /// Lowers onto the internal cluster config (validating first).

@@ -7,6 +7,7 @@
 #include <functional>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "util/rng.h"
@@ -97,6 +98,32 @@ ThreadPool& SharedThreadPool();
 void ParallelFor(int64_t num_items, const PbsExecutionOptions& options,
                  const std::function<void(int64_t chunk_index, int64_t begin,
                                           int64_t end)>& body);
+
+/// The seeded trial loop every campaign runner shares: calls `trial(stream)`
+/// once per trial and returns the outputs in trial order, ready for a
+/// deterministic merge. Trial t draws from the sub-stream of its chunk
+/// (MakeJumpStreams(Rng(seed), NumChunks(...))), right after the earlier
+/// trials of the same chunk, so its draws depend on (seed, chunk_size) only,
+/// never on `threads`. A trial that always takes the same number of draws
+/// keeps the later trials' seeds fixed even when its own work changes.
+/// `trial` runs concurrently and must only touch its own state.
+template <typename Trial,
+          typename Output = std::invoke_result_t<const Trial&, Rng&>>
+std::vector<Output> ParallelTrials(int64_t num_trials, uint64_t seed,
+                                   const PbsExecutionOptions& options,
+                                   const Trial& trial) {
+  std::vector<Rng> streams =
+      MakeJumpStreams(Rng(seed), NumChunks(num_trials, options));
+  std::vector<Output> outputs(num_trials);
+  ParallelFor(num_trials, options,
+              [&](int64_t chunk_index, int64_t begin, int64_t end) {
+                Rng& stream = streams[chunk_index];
+                for (int64_t t = begin; t < end; ++t) {
+                  outputs[t] = trial(stream);
+                }
+              });
+  return outputs;
+}
 
 }  // namespace pbs
 

@@ -84,25 +84,6 @@ TEST(PbsPredictorCreateTest, AnalyticDemandsAnIidModel) {
   EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(PbsPredictorCreateTest, LegacyConstructorDelegatesBitwise) {
-  // The transitional constructor routes through Create: every query must
-  // be bitwise identical between the two spellings.
-  PredictorOptions options;
-  options.trials = 20000;
-  options.seed = 99;
-  const auto model = MakeIidModel(LnkdSsd(), 3);
-  const auto created = PbsPredictor::Create({3, 1, 2}, model, options);
-  ASSERT_TRUE(created.ok());
-  const PbsPredictor& a = created.value();
-  const PbsPredictor b({3, 1, 2}, model, options);
-  EXPECT_EQ(a.ProbConsistent(1.0), b.ProbConsistent(1.0));
-  EXPECT_EQ(a.TimeForConsistency(0.99), b.TimeForConsistency(0.99));
-  EXPECT_EQ(a.ReadLatencyPercentile(99.0), b.ReadLatencyPercentile(99.0));
-  EXPECT_EQ(a.WriteLatencyPercentile(99.0), b.WriteLatencyPercentile(99.0));
-  EXPECT_EQ(a.KStaleness(1), b.KStaleness(1));
-  EXPECT_EQ(a.backend(), b.backend());
-}
-
 // --------------------------------------------- engine interchangeability
 
 TEST(PredictionEngineTest, AnalyticAgreesWithMonteCarlo) {

@@ -61,7 +61,10 @@ TEST(PbsPredictorTest, AgreesWithDirectEstimators) {
   PredictorOptions options;
   options.trials = 20000;
   options.seed = 3;
-  PbsPredictor predictor({3, 1, 1}, model, options);
+  const StatusOr<PbsPredictor> created =
+      PbsPredictor::Create({3, 1, 1}, model, options);
+  ASSERT_TRUE(created.ok()) << created.status().message();
+  const PbsPredictor& predictor = created.value();
 
   const TVisibilityCurve direct =
       EstimateTVisibility({3, 1, 1}, model, 20000, /*seed=*/3);
@@ -75,7 +78,10 @@ TEST(PbsPredictorTest, ClosedFormDelegation) {
   const auto model = MakeIidModel(LnkdSsd(), 3);
   PredictorOptions options;
   options.trials = 1000;
-  PbsPredictor predictor({3, 1, 1}, model, options);
+  const StatusOr<PbsPredictor> created =
+      PbsPredictor::Create({3, 1, 1}, model, options);
+  ASSERT_TRUE(created.ok()) << created.status().message();
+  const PbsPredictor& predictor = created.value();
   EXPECT_NEAR(predictor.KStaleness(1), 2.0 / 3.0, 1e-12);
   EXPECT_NEAR(predictor.KFreshness(2), 1.0 - 4.0 / 9.0, 1e-12);
   EXPECT_NEAR(predictor.MonotonicReadsViolation(1.0, 1.0),
@@ -87,7 +93,10 @@ TEST(PbsPredictorTest, KTBoundDecreasesInKAndT) {
   PredictorOptions options;
   options.trials = 50000;
   options.seed = 4;
-  PbsPredictor predictor({3, 1, 1}, model, options);
+  const StatusOr<PbsPredictor> created =
+      PbsPredictor::Create({3, 1, 1}, model, options);
+  ASSERT_TRUE(created.ok()) << created.status().message();
+  const PbsPredictor& predictor = created.value();
   const double p_k1_t0 = predictor.KTStalenessUpperBound(1, 0.0);
   const double p_k2_t0 = predictor.KTStalenessUpperBound(2, 0.0);
   const double p_k1_t10 = predictor.KTStalenessUpperBound(1, 10.0);
@@ -99,7 +108,10 @@ TEST(PbsPredictorTest, LatencyPercentilesExposed) {
   const auto model = MakeIidModel(LnkdSsd(), 3);
   PredictorOptions options;
   options.trials = 20000;
-  PbsPredictor predictor({3, 1, 1}, model, options);
+  const StatusOr<PbsPredictor> created =
+      PbsPredictor::Create({3, 1, 1}, model, options);
+  ASSERT_TRUE(created.ok()) << created.status().message();
+  const PbsPredictor& predictor = created.value();
   EXPECT_GT(predictor.ReadLatencyPercentile(99.9), 0.0);
   EXPECT_GT(predictor.WriteLatencyPercentile(99.9),
             predictor.WriteLatencyPercentile(50.0));
@@ -109,7 +121,10 @@ TEST(PbsPredictorTest, StrictConfigReportsZeroVisibilityWindow) {
   const auto model = MakeIidModel(Ymmr(), 3);
   PredictorOptions options;
   options.trials = 20000;
-  PbsPredictor predictor({3, 2, 2}, model, options);
+  const StatusOr<PbsPredictor> created =
+      PbsPredictor::Create({3, 2, 2}, model, options);
+  ASSERT_TRUE(created.ok()) << created.status().message();
+  const PbsPredictor& predictor = created.value();
   EXPECT_DOUBLE_EQ(predictor.ProbConsistent(0.0), 1.0);
   EXPECT_DOUBLE_EQ(predictor.TimeForConsistency(0.9999), 0.0);
 }

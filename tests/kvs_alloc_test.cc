@@ -16,7 +16,6 @@
 #include "dist/production.h"
 #include "kvs/cluster.h"
 #include "kvs/failure_detector.h"
-#include "kvs/hotpath.h"
 #include "util/alloc_hook.h"
 
 namespace pbs {
@@ -161,28 +160,6 @@ TEST(AllocTest, SloppyQuorumSubstitutionPathIsAllocationFree) {
   EXPECT_EQ(allocations, 0)
       << "sloppy-quorum steady state hit the allocator " << allocations
       << " times";
-}
-
-TEST(AllocTest, HotPathEngineAllocatesForSetupNotPerOperation) {
-  // RunHotPath sizes every pool during setup; a 40x longer run must cost
-  // exactly the same number of allocations as a short one. Allocations are
-  // allowed per conservative-sync window (each barrier round does a little
-  // ParallelFor bookkeeping), never per operation — one giant window makes
-  // the comparison exact.
-  const auto count_allocations = [](int64_t writes_per_stream) {
-    HotPathOptions options;
-    options.num_streams = 32;
-    options.writes_per_stream = writes_per_stream;
-    options.sync_window_ms = 1e9;
-    const int64_t before = alloc_hook::AllocationCount();
-    const HotPathResult result = RunHotPath(options);
-    EXPECT_GT(result.total_ops(), 0);
-    return alloc_hook::AllocationCount() - before;
-  };
-  const int64_t short_run = count_allocations(50);
-  const int64_t long_run = count_allocations(2000);
-  EXPECT_EQ(long_run, short_run)
-      << "hot-path allocation count scales with run length";
 }
 
 }  // namespace

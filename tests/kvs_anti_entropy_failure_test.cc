@@ -1,9 +1,16 @@
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "dist/primitives.h"
+#include "dist/production.h"
 #include "kvs/anti_entropy.h"
 #include "kvs/client.h"
 #include "kvs/cluster.h"
+#include "kvs/experiment.h"
 #include "kvs/failure.h"
 
 namespace pbs {
@@ -90,45 +97,138 @@ TEST(AntiEntropyProcessTest, DisabledByZeroInterval) {
   EXPECT_FALSE(cluster.sim().HasPendingEvents());
 }
 
-TEST(FailureScheduleTest, InstallTogglesLiveness) {
+TEST(CrashFaultTest, FiniteCrashTogglesLivenessAtStartAndEnd) {
   Cluster cluster(BaseConfig());
-  FailureSchedule schedule;
-  schedule.AddCrash(10.0, 0);
-  schedule.AddRecover(20.0, 0);
+  FaultSchedule schedule;
+  schedule.AddCrash(10.0, 20.0, 0);
   schedule.InstallOn(&cluster);
   EXPECT_TRUE(cluster.replica(0).alive());
-  cluster.sim().RunUntil(15.0);
-  EXPECT_FALSE(cluster.replica(0).alive());
-  cluster.sim().RunUntil(25.0);
+  cluster.sim().RunUntil(9.9);
   EXPECT_TRUE(cluster.replica(0).alive());
+  cluster.sim().RunUntil(10.0);
+  EXPECT_FALSE(cluster.replica(0).alive());
+  cluster.sim().RunUntil(19.9);
+  EXPECT_FALSE(cluster.replica(0).alive());
+  cluster.sim().RunUntil(20.0);
+  EXPECT_TRUE(cluster.replica(0).alive());
+  EXPECT_EQ(cluster.sim().events_processed(), 2u);
+  EXPECT_EQ(cluster.metrics().fault_flapping_activations, 0);
 }
 
-TEST(FailureScheduleTest, RandomProcessAlternatesPerNode) {
-  const auto schedule =
-      FailureSchedule::RandomCrashRecover(3, 10000.0, 500.0, 100.0, 42);
-  // Per node, events alternate crash/recover in increasing time.
+TEST(CrashFaultTest, OpenEndedCrashNeverRecoversAndSchedulesNoRecovery) {
+  Cluster cluster(BaseConfig());
+  FaultSchedule schedule;
+  schedule.AddCrash(10.0, std::numeric_limits<double>::infinity(), 0);
+  schedule.InstallOn(&cluster);
+  cluster.sim().Run();
+  EXPECT_FALSE(cluster.replica(0).alive());
+  EXPECT_EQ(cluster.sim().events_processed(), 1u);  // the crash alone
+  EXPECT_EQ(cluster.sim().now(), 10.0);
+}
+
+TEST(CrashFaultTest, RandomProcessAlternatesPerNode) {
+  const FaultSchedule schedule =
+      FaultSchedule::RandomCrashRecover(3, 10000.0, 500.0, 100.0, 42);
+  // Per node, crash intervals are disjoint and in increasing time; only a
+  // node's last crash may be open-ended.
   for (int node = 0; node < 3; ++node) {
-    double last_time = -1.0;
-    bool expect_crash = true;
-    for (const auto& event : schedule.events()) {
-      if (event.node != node) continue;
-      EXPECT_GT(event.time, last_time);
-      last_time = event.time;
-      EXPECT_EQ(event.kind, expect_crash ? FailureEvent::Kind::kCrash
-                                         : FailureEvent::Kind::kRecover);
-      expect_crash = !expect_crash;
+    double last_end = -1.0;
+    for (const Fault& fault : schedule.faults()) {
+      if (fault.node != node) continue;
+      EXPECT_EQ(fault.kind, Fault::Kind::kCrash);
+      EXPECT_TRUE(std::isfinite(last_end));
+      EXPECT_GT(fault.start, last_end);
+      EXPECT_GT(fault.end, fault.start);
+      last_end = fault.end;
     }
   }
-  EXPECT_GT(schedule.events().size(), 10u);  // ~17 crashes expected per node
+  EXPECT_GT(schedule.faults().size(), 10u);  // ~17 crashes expected per node
 }
 
-TEST(FailureScheduleTest, CrashedReplicaMakesDataUnavailableUntilRecovery) {
+uint64_t Fnv1a(uint64_t hash, uint64_t value) {
+  for (int bit = 0; bit < 64; bit += 8) {
+    hash ^= (value >> bit) & 0xFF;
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
+
+uint64_t Bits(double value) {
+  uint64_t bits;
+  std::memcpy(&bits, &value, sizeof bits);
+  return bits;
+}
+
+TEST(CrashFaultTest, RandomCrashRecoverGoldenTimes) {
+  // Golden pin: seed 42 yields exactly these crash/recover times, bit for
+  // bit, and a node's last crash with no repair before the horizon is
+  // open-ended. Re-pin only with a stated reason.
+  const FaultSchedule schedule =
+      FaultSchedule::RandomCrashRecover(3, 10000.0, 500.0, 100.0, 42);
+  ASSERT_EQ(schedule.faults().size(), 53u);
+  uint64_t digest = 14695981039346656037ULL;
+  int open_ended = 0;
+  for (const Fault& fault : schedule.faults()) {
+    digest = Fnv1a(digest, static_cast<uint64_t>(fault.node));
+    digest = Fnv1a(digest, Bits(fault.start));
+    digest = Fnv1a(digest, Bits(fault.end));
+    if (!std::isfinite(fault.end)) ++open_ended;
+  }
+  EXPECT_EQ(digest, 0x8a82455308158e5fULL);
+  EXPECT_EQ(open_ended, 1);
+  const Fault& first = schedule.faults().front();
+  EXPECT_EQ(first.node, 0);
+  EXPECT_EQ(first.start, 841.82525882328446);
+  EXPECT_EQ(first.end, 880.21828056645541);
+  const Fault& last_of_node1 = schedule.faults()[31];
+  EXPECT_EQ(last_of_node1.node, 1);
+  EXPECT_EQ(last_of_node1.start, 9944.2465132908601);
+  EXPECT_EQ(last_of_node1.end, std::numeric_limits<double>::infinity());
+  const Fault& last = schedule.faults().back();
+  EXPECT_EQ(last.node, 2);
+  EXPECT_EQ(last.start, 9317.7873374746214);
+  EXPECT_EQ(last.end, 9521.3549545268597);
+}
+
+TEST(CrashFaultTest, StalenessRunUnderRandomCrashesGolden) {
+  // Golden pin of a short Section 6 run under the schedule above: the
+  // t-visibility counts, failed ops and handoffs of seed 2002. Re-pin only
+  // with a stated reason.
+  StalenessExperimentOptions options;
+  options.cluster.quorum = {3, 1, 1};
+  options.cluster.legs = LnkdDisk();
+  options.cluster.request_timeout_ms = 200.0;
+  options.cluster.hinted_handoff = true;
+  options.cluster.hinted_handoff_backoff_base_ms = 50.0;
+  options.cluster.hinted_handoff_backoff_max_ms = 50.0;
+  options.cluster.hinted_handoff_max_retries = 100;
+  options.writes = 40;
+  options.write_spacing_ms = 250.0;
+  options.read_offsets_ms = {0.0, 10.0, 100.0};
+  options.seed = 2002;
+  const StalenessExperimentResult result = RunStalenessExperimentWithFaults(
+      options, FaultSchedule::RandomCrashRecover(3, 10000.0, 500.0, 100.0, 42));
+  ASSERT_EQ(result.t_visibility.size(), 3u);
+  const int64_t consistent[] = {23, 37, 36};
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(result.t_visibility[i].t, options.read_offsets_ms[i]);
+    EXPECT_EQ(result.t_visibility[i].trials, 40);
+    EXPECT_EQ(result.t_visibility[i].consistent, consistent[i]) << i;
+  }
+  EXPECT_EQ(result.final_metrics.reads_started, 120);
+  EXPECT_EQ(result.final_metrics.writes_started, 40);
+  EXPECT_EQ(result.final_metrics.reads_failed, 0);
+  EXPECT_EQ(result.final_metrics.writes_failed, 0);
+  EXPECT_EQ(result.final_metrics.hinted_handoffs_sent, 62);
+  EXPECT_EQ(result.network_messages, 949);
+}
+
+TEST(CrashFaultTest, CrashedReplicaMakesDataUnavailableUntilRecovery) {
   KvsConfig config = BaseConfig();
   config.quorum = {1, 1, 1};
   Cluster cluster(config);
-  FailureSchedule schedule;
-  schedule.AddCrash(5.0, 0);
-  schedule.AddRecover(200.0, 0);
+  FaultSchedule schedule;
+  schedule.AddCrash(5.0, 200.0, 0);
   schedule.InstallOn(&cluster);
   ClientSession client(&cluster, cluster.coordinator(0).id(), 1);
 

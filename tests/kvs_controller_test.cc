@@ -329,36 +329,34 @@ TEST(ControllerTest, HedgesOnWhenASlowReplicaBlowsTheLatencyBudget) {
 // ------------------------------------------------------- campaign determinism
 
 TEST(ControllerCampaignTest, StaticBaselineRunsWithControllerDisabled) {
-  ControllerTrialOptions options;
+  CampaignOptions options;
   options.experiment = ControllerExperiment();
   options.experiment.cluster.controller.enabled = false;
   options.experiment.writes = 100;
   options.trials = 2;
   options.seed = 5;
-  const ControllerCampaignResult result =
-      RunControllerTrials(options, PbsExecutionOptions{});
+  const CampaignResult result = RunCampaign(options, PbsExecutionOptions{});
   ASSERT_EQ(result.trials.size(), 2u);
   EXPECT_GT(result.pooled.reads_started, 0);
-  for (const ControllerCampaignSummary& trial : result.trials) {
+  for (const CampaignTrialSummary& trial : result.trials) {
     EXPECT_EQ(trial.decision_digest, 0u);
     EXPECT_EQ(trial.decisions, 0);
   }
 }
 
 TEST(ControllerCampaignTest, FaultFactoryDoesNotPerturbTheWorkloadStream) {
-  // The runner draws workload and fault seeds per trial whether or not a
+  // RunCampaign draws workload and fault seeds per trial whether or not a
   // fault factory is installed, so adding an *empty* schedule via the
   // factory reproduces the fault-free campaign bitwise.
-  ControllerTrialOptions options;
+  CampaignOptions options;
   options.experiment = ControllerExperiment();
   options.experiment.writes = 100;
   options.trials = 2;
   options.seed = 17;
-  const ControllerCampaignResult without =
-      RunControllerTrials(options, PbsExecutionOptions{});
+  const CampaignResult without = RunCampaign(options, PbsExecutionOptions{});
   options.faults = [](double, uint64_t) { return FaultSchedule(); };
-  const ControllerCampaignResult with_empty =
-      RunControllerTrials(options, PbsExecutionOptions{});
+  const CampaignResult with_empty =
+      RunCampaign(options, PbsExecutionOptions{});
   EXPECT_EQ(without, with_empty);
 }
 
@@ -414,7 +412,7 @@ TEST(ControllerBackendTest, AnalyticCampaignIsThreadCountDeterministic) {
   // The acceptance pin: kAnalytic controller campaigns (no RNG in the
   // per-epoch evaluator at all) reproduce bitwise at 1, 4 and 8 threads,
   // exactly like the Monte Carlo pin in parallel_determinism_test.
-  ControllerTrialOptions options;
+  CampaignOptions options;
   options.experiment = ControllerExperiment();
   options.experiment.writes = 150;
   options.experiment.cluster.controller.backend = PredictorBackend::kAnalytic;
@@ -422,15 +420,13 @@ TEST(ControllerBackendTest, AnalyticCampaignIsThreadCountDeterministic) {
   options.seed = 606;
   PbsExecutionOptions serial_exec;
   serial_exec.threads = 1;
-  const ControllerCampaignResult serial =
-      RunControllerTrials(options, serial_exec);
+  const CampaignResult serial = RunCampaign(options, serial_exec);
   ASSERT_EQ(serial.trials.size(), 3u);
   EXPECT_NE(serial.pooled_digest, 0u);
   for (int threads : {4, 8}) {
     PbsExecutionOptions exec;
     exec.threads = threads;
-    const ControllerCampaignResult parallel =
-        RunControllerTrials(options, exec);
+    const CampaignResult parallel = RunCampaign(options, exec);
     EXPECT_EQ(parallel, serial) << threads << " threads";
   }
 }

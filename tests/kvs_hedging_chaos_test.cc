@@ -252,8 +252,8 @@ TEST(FaultScheduleTest, RandomGrayFailuresAreSeedDeterministic) {
   ASSERT_EQ(a.faults().size(), b.faults().size());
   EXPECT_GT(a.faults().size(), 5u);  // ~30 arrivals over the horizon
   for (size_t i = 0; i < a.faults().size(); ++i) {
-    const GrayFault& fa = a.faults()[i];
-    const GrayFault& fb = b.faults()[i];
+    const Fault& fa = a.faults()[i];
+    const Fault& fb = b.faults()[i];
     EXPECT_EQ(fa.kind, fb.kind);
     EXPECT_EQ(fa.start, fb.start);
     EXPECT_EQ(fa.end, fb.end);

@@ -174,7 +174,7 @@ TEST(TimeSeriesJsonlTest, GoldenBytes) {
 
   // A single-sample histogram clamps every quantile to the one value; the
   // exact bytes below are the format contract for offline consumers
-  // (tools/pbs_report.py parses exactly these lines).
+  // (`pbs report` parses exactly these lines).
   const std::string expected =
       "{\"type\":\"meta\",\"windows\":2,\"windows_cut\":2,"
       "\"windows_dropped\":0,\"window_ms\":500}\n"

@@ -62,13 +62,13 @@ TEST(ParseFaultSpecTest, ParsesEveryKindWithDefaults) {
       ParseFaultSpec("flap:node=2,up=300,down=200", horizon, &schedule).ok());
   EXPECT_TRUE(ParseFaultSpec("oneway:src=0,dst=4", horizon, &schedule).ok());
   ASSERT_EQ(schedule.faults().size(), 5u);
-  EXPECT_EQ(schedule.faults()[0].kind, kvs::GrayFault::Kind::kSlowNode);
+  EXPECT_EQ(schedule.faults()[0].kind, kvs::Fault::Kind::kSlowNode);
   EXPECT_EQ(schedule.faults()[0].node, 2);
   // start/end default to the whole run.
   EXPECT_DOUBLE_EQ(schedule.faults()[0].start, 0.0);
   EXPECT_DOUBLE_EQ(schedule.faults()[0].end, horizon);
   EXPECT_EQ(schedule.faults()[4].kind,
-            kvs::GrayFault::Kind::kAsymmetricPartition);
+            kvs::Fault::Kind::kAsymmetricPartition);
 }
 
 TEST(ParseFaultSpecTest, GraySpecSeedsARandomMix) {

@@ -113,8 +113,8 @@ TEST(NetworkTest, DefaultAndPerLinkLatency) {
   net.set_default_latency(PointMass(1.0));
   net.SetLinkLatency(0, 2, PointMass(9.0));
   std::vector<double> deliveries;
-  net.Send(0, 1, [&]() { deliveries.push_back(sim.now()); });
-  net.Send(0, 2, [&]() { deliveries.push_back(sim.now()); });
+  EXPECT_TRUE(net.Send(0, 1, [&]() { deliveries.push_back(sim.now()); }));
+  EXPECT_TRUE(net.Send(0, 2, [&]() { deliveries.push_back(sim.now()); }));
   sim.Run();
   ASSERT_EQ(deliveries.size(), 2u);
   EXPECT_DOUBLE_EQ(deliveries[0], 1.0);

@@ -28,13 +28,12 @@ import argparse
 import json
 import sys
 
-# Throughput numbers tracked as deliverables (README / ISSUE acceptance):
-# the WARS Monte Carlo headline, the compiled KVS hot path and its
-# per-message baseline, and the event-queue churn floor.
+# Throughput numbers tracked as deliverables (README acceptance): the WARS
+# Monte Carlo headline, the per-message KVS engine, and the event-queue
+# churn floor.
 DEFAULT_HEADLINES = [
     "wars_trials_n5",
     "kvs_cluster_ops",
-    "kvs_cluster_ops_legacy",
     "sim_event_churn",
 ]
 
