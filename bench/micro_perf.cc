@@ -22,7 +22,6 @@
 #include <filesystem>
 #include <functional>
 #include <limits>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -102,21 +101,6 @@ void BenchDistribution(std::vector<BenchResult>* results,
                  for (int64_t i = 0; i < n; ++i) acc += dist->Sample(rng);
                  g_sink = acc;
                }));
-  results->push_back(RunBench(
-      "dist_" + label + "_batch", "sample", samples, [&](int64_t n) {
-        Rng rng(1);
-        std::vector<double> buf(4096);
-        double acc = 0.0;
-        for (int64_t i = 0; i < n; i += static_cast<int64_t>(buf.size())) {
-          const auto chunk = std::min<int64_t>(
-              static_cast<int64_t>(buf.size()), n - i);
-          dist->SampleBatch(rng,
-                            std::span<double>(buf.data(),
-                                              static_cast<size_t>(chunk)));
-          acc += buf[0];
-        }
-        g_sink = acc;
-      }));
   const CompiledSampler compiled(dist);
   results->push_back(RunBench(
       "dist_" + label + "_compiled", "sample", samples, [&](int64_t n) {
@@ -314,8 +298,8 @@ int Main(int argc, char** argv) {
                                g_sink = static_cast<double>(acc);
                              }));
 
-  // Primitive + mixture sampling: virtual Sample() loop vs batched virtual
-  // SampleBatch() vs devirtualized CompiledSampler.
+  // Primitive + mixture sampling: virtual Sample() loop vs devirtualized
+  // CompiledSampler.
   BenchDistribution(&results, "exponential", Exponential(0.183), kSamples);
   BenchDistribution(&results, "pareto", Pareto(0.235, 1.66), kSamples);
   BenchDistribution(&results, "lognormal", LogNormal(1.0, 0.3), kSamples);

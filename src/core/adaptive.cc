@@ -125,6 +125,10 @@ double MixtureQuantileSorted(const std::vector<double>& lo_sorted,
 
 namespace {
 
+// Seed of MixedQuorumPredictor's kAuto spot-check Monte Carlo run, apart
+// from the per-Evaluate seeds so the guard never perturbs decision streams.
+constexpr uint64_t kSpotCheckSeed = 0x5EED5EEDULL;
+
 // Fraction of (unsorted) thresholds at or below `bound`.
 double FractionAtMost(const std::vector<double>& values, double bound) {
   if (values.empty()) return 0.0;
@@ -244,8 +248,6 @@ MixedQuorumPredictor::MixedQuorumPredictor(const SlaTarget& sla,
   }
   const WarsDistributions* legs = model_->IidLegs();
   if (legs == nullptr) {
-    assert(options_.backend != PredictorBackend::kAnalytic &&
-           "backend=analytic requires an IID latency model");
     note_ = PredictorBackendName(options_.backend) + std::string(": ") +
             model_->Describe() +
             " is not IID across replicas; using Monte Carlo";
@@ -254,8 +256,6 @@ MixedQuorumPredictor::MixedQuorumPredictor(const SlaTarget& sla,
   }
   auto scenario = MakeAnalyticScenario(*legs, options_.grid);
   if (!scenario.ok()) {
-    assert(options_.backend != PredictorBackend::kAnalytic &&
-           "invalid analytic grid options");
     note_ = PredictorBackendName(options_.backend) + std::string(": ") +
             scenario.status().message() + "; using Monte Carlo";
     resolved_ = PredictorBackend::kMonteCarlo;
@@ -268,16 +268,15 @@ MixedQuorumPredictor::MixedQuorumPredictor(const SlaTarget& sla,
     const MixedQuorumEvaluation analytic = EvaluateMixedQuorumAnalytic(
         probe, sla_, scenario_, options_.read_fanout);
     const MixedQuorumEvaluation mc = EvaluateMixedQuorum(
-        probe, sla_, model_, options_.validation.trials,
-        options_.validation_seed, options_.read_fanout, options_.exec);
-    const auto& tol = options_.validation;
+        probe, sla_, model_, kAutoSpotCheckTrials, kSpotCheckSeed,
+        options_.read_fanout, options_.exec);
     std::ostringstream why;
     if (std::abs(analytic.fresh_probability - mc.fresh_probability) >
-        tol.consistency_tol) {
+        kAutoConsistencyTol) {
       why << "fresh probability " << analytic.fresh_probability << " vs mc "
           << mc.fresh_probability;
     } else if (std::abs(analytic.read_p99_ms - mc.read_p99_ms) >
-               tol.latency_rel_tol * mc.read_p99_ms + tol.latency_abs_tol_ms) {
+               kAutoLatencyRelTol * mc.read_p99_ms + kAutoLatencyAbsTolMs) {
       why << "read p99 " << analytic.read_p99_ms << " vs mc " << mc.read_p99_ms
           << " ms";
     }
@@ -373,10 +372,9 @@ QuorumConfig AdaptiveConfigController::Update(
       // engine re-evaluates it below for a consistent candidate ranking.
       const Evaluation mc = Evaluate(current_, model, base_seed, nullptr);
       const Evaluation an = Evaluate(current_, model, base_seed, scenario);
-      const auto& tol = options_.validation;
-      const auto close = [&tol](double a, double m) {
-        return std::abs(a - m) <= tol.latency_rel_tol * std::abs(m) +
-                                      tol.latency_abs_tol_ms;
+      const auto close = [](double a, double m) {
+        return std::abs(a - m) <=
+               kAutoLatencyRelTol * std::abs(m) + kAutoLatencyAbsTolMs;
       };
       if (!close(an.objective_ms, mc.objective_ms) ||
           !close(an.t_visibility_ms, mc.t_visibility_ms)) {

@@ -109,8 +109,8 @@ MixedQuorumEvaluation EvaluateMixedQuorumAnalytic(
 /// ignoring `seed`). kAuto resolves at construction: non-IID models fall
 /// back to Monte Carlo outright; IID models keep the analytic engine only
 /// when its evaluation of the `probe` quorum agrees with a small Monte
-/// Carlo run within the validation tolerances. The consistency controller
-/// builds one of these per control epoch.
+/// Carlo run within the kAuto* tolerances of core/backend.h. The
+/// consistency controller builds one of these per control epoch.
 class MixedQuorumPredictor {
  public:
   struct Options {
@@ -121,17 +121,11 @@ class MixedQuorumPredictor {
     PbsExecutionOptions exec;
     /// Analytic grid shape (kAnalytic / kAuto).
     AnalyticGridOptions grid{2000.0, 8000};
-    /// kAuto's spot-check tolerances and budget.
-    AutoValidationOptions validation;
-    /// Seed of the kAuto spot-check's Monte Carlo run (independent of the
-    /// per-Evaluate seeds so the guard never perturbs decision streams).
-    uint64_t validation_seed = 0x5EED5EEDULL;
   };
 
   /// Infallible by design (the controller cannot surface a Status mid-epoch):
   /// analytic construction problems — non-IID model under kAnalytic, a bad
-  /// grid — fall back to Monte Carlo and record why in note(). Debug builds
-  /// assert on kAnalytic misuse.
+  /// grid — fall back to Monte Carlo and record why in note().
   MixedQuorumPredictor(const SlaTarget& sla, ReplicaLatencyModelPtr model,
                        const MixedQuorum& probe, const Options& options);
   ~MixedQuorumPredictor();
@@ -194,9 +188,6 @@ struct AdaptiveControllerOptions {
   /// controller compares candidates, so grid bias common to all of them
   /// cancels, and epochs should stay cheap.
   AnalyticGridOptions grid{2000.0, 8000};
-  /// kAuto's per-Update agreement tolerances (trials is unused here — the
-  /// spot-check reuses the incumbent's trials_per_eval evaluation).
-  AutoValidationOptions validation;
 };
 
 /// Online controller. Feed it the latest latency model (measured online or
@@ -221,8 +212,10 @@ class AdaptiveConfigController {
   /// hysteresis margin. The options' backend picks the evaluator per call
   /// (the model may change between epochs): under kAnalytic every candidate
   /// shares one scenario grid; under kAuto the analytic engine must first
-  /// agree with the incumbent's Monte Carlo evaluation within the
-  /// validation tolerances, else this epoch runs on Monte Carlo.
+  /// agree with the incumbent's Monte Carlo evaluation within the kAuto
+  /// latency tolerances of core/backend.h (the spot-check reuses the
+  /// incumbent's trials_per_eval evaluation), else this epoch runs on
+  /// Monte Carlo.
   QuorumConfig Update(const ReplicaLatencyModelPtr& model);
 
   const QuorumConfig& current() const { return current_; }

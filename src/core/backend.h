@@ -67,36 +67,18 @@ struct AnalyticGridOptions {
 /// The bar is deliberately looser than bench/analytic_vs_mc's CI gate
 /// (2% + 0.15 ms at 500K trials): the spot-check MC run is small, so its
 /// own sampling noise at the p99 is a few percent.
-struct AutoValidationOptions {
-  /// Trial budget of the spot-check run (small on purpose: the check runs
-  /// once per engine construction, not per query).
-  int trials = 20000;
-
-  /// Latency-quantile agreement: |analytic - mc| <= rel * mc + abs_ms.
-  double latency_rel_tol = 0.05;
-  double latency_abs_tol_ms = 0.25;
-
-  /// Consistency agreement on P(consistent | t) / freshness probabilities,
-  /// in absolute probability. Loose by design — a few points of probability
-  /// is the documented approximation error at t = 0 (bench/analytic_vs_mc),
-  /// and the MC side carries sampling noise of ~1/sqrt(trials) itself.
-  double consistency_tol = 0.05;
-
-  Status Validate() const {
-    if (trials < 1) {
-      return Status::InvalidArgument("validation.trials must be >= 1");
-    }
-    if (latency_rel_tol < 0.0 || latency_abs_tol_ms < 0.0) {
-      return Status::InvalidArgument(
-          "validation latency tolerances must be >= 0");
-    }
-    if (consistency_tol <= 0.0 || consistency_tol >= 1.0) {
-      return Status::InvalidArgument(
-          "validation.consistency_tol must be in (0, 1)");
-    }
-    return Status::Ok();
-  }
-};
+///
+/// Trial budget of the spot-check run (small on purpose: the check runs
+/// once per engine construction, not per query).
+inline constexpr int kAutoSpotCheckTrials = 20000;
+/// Latency-quantile agreement: |analytic - mc| <= rel * mc + abs_ms.
+inline constexpr double kAutoLatencyRelTol = 0.05;
+inline constexpr double kAutoLatencyAbsTolMs = 0.25;
+/// Consistency agreement on P(consistent | t) / freshness probabilities,
+/// in absolute probability. Loose by design — a few points of probability
+/// is the documented approximation error at t = 0 (bench/analytic_vs_mc),
+/// and the MC side carries sampling noise of ~1/sqrt(trials) itself.
+inline constexpr double kAutoConsistencyTol = 0.05;
 
 }  // namespace pbs
 

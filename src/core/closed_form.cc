@@ -14,17 +14,6 @@ double SingleQuorumMissProbability(const QuorumConfig& config) {
   return BinomialRatio(config.n - config.w, config.n, config.r);
 }
 
-double MixedQuorumMissProbability(int n, int r_lo, int r_hi, int w,
-                                  double mix) {
-  assert(mix >= 0.0 && mix <= 1.0);
-  // Per-read miss probability is linear in the mixing weight because the
-  // R draw is independent of the quorum choices (arXiv:1507.03162).
-  const double ps_lo = SingleQuorumMissProbability(QuorumConfig{n, r_lo, w});
-  if (r_lo == r_hi) return ps_lo;
-  const double ps_hi = SingleQuorumMissProbability(QuorumConfig{n, r_hi, w});
-  return ClampProbability(mix * ps_lo + (1.0 - mix) * ps_hi);
-}
-
 double KStalenessProbability(const QuorumConfig& config, int k) {
   assert(k >= 1);
   const double ps = SingleQuorumMissProbability(config);

@@ -17,15 +17,6 @@ namespace pbs {
 /// write quorum entirely, ps = C(N-W, R) / C(N, R). Zero for strict quorums.
 double SingleQuorumMissProbability(const QuorumConfig& config);
 
-/// Equation 1 under McKenzie fractional read mixing (arXiv:1507.03162):
-/// each read independently uses R = r_lo with probability `mix`, else
-/// R = r_hi, so the per-read miss probability is
-/// mix * ps(n, r_lo, w) + (1 - mix) * ps(n, r_hi, w). Degenerates to
-/// Equation 1 when mix is 0/1 or r_lo == r_hi. This is how the analytic
-/// backend lowers k-staleness queries for MixedQuorum arms.
-double MixedQuorumMissProbability(int n, int r_lo, int r_hi, int w,
-                                  double mix);
-
 /// Equation 2: PBS k-staleness — probability that a read quorum intersects
 /// none of the last k independent write quorums, psk = ps^k. The returned
 /// value is the probability of *staleness beyond k versions*;

@@ -127,11 +127,7 @@ Status ValidateEngineInputs(const QuorumConfig& config,
     return Status::InvalidArgument("options.trials must be >= 1, got " +
                                    std::to_string(options.trials));
   }
-  Status status = options.grid.Validate();
-  if (!status.ok()) return status;
-  status = options.validation.Validate();
-  if (!status.ok()) return status;
-  return Status::Ok();
+  return options.grid.Validate();
 }
 
 /// kAuto's guard: compare the analytic engine against a small MC run on the
@@ -142,13 +138,12 @@ std::string SpotCheckAnalytic(const QuorumConfig& config,
                               const PredictorOptions& options,
                               const AnalyticEngine& analytic) {
   PredictorOptions probe = options;
-  probe.trials = options.validation.trials;
+  probe.trials = kAutoSpotCheckTrials;
   probe.collect_propagation = false;
   MonteCarloEngine mc(config, model, probe);
 
-  const auto& tol = options.validation;
-  const auto latency_ok = [&tol](double a, double m) {
-    return std::abs(a - m) <= tol.latency_rel_tol * m + tol.latency_abs_tol_ms;
+  const auto latency_ok = [](double a, double m) {
+    return std::abs(a - m) <= kAutoLatencyRelTol * m + kAutoLatencyAbsTolMs;
   };
   std::ostringstream why;
   for (const double pct : {50.0, 99.0}) {
@@ -168,7 +163,7 @@ std::string SpotCheckAnalytic(const QuorumConfig& config,
   for (const double t : {0.0, 10.0}) {
     const double ap = analytic.ProbConsistent(t);
     const double mp = mc.ProbConsistent(t);
-    if (std::abs(ap - mp) > tol.consistency_tol) {
+    if (std::abs(ap - mp) > kAutoConsistencyTol) {
       why << "P(consistent|t=" << t << ") " << ap << " vs mc " << mp;
       return why.str();
     }

@@ -33,8 +33,6 @@ struct PredictorOptions {
   PredictorBackend backend = PredictorBackend::kMonteCarlo;
   /// Grid shape for the analytic / auto backends.
   AnalyticGridOptions grid;
-  /// kAuto's Monte Carlo spot-check budget and tolerances.
-  AutoValidationOptions validation;
 };
 
 /// The distributional query surface of PbsPredictor, extracted so Monte
@@ -70,9 +68,10 @@ class PredictionEngine {
 /// inputs (quorum shape, model, trial budget, grid). kAnalytic demands an
 /// IID model (ReplicaLatencyModel::IidLegs) and fails otherwise; kAuto
 /// falls back to Monte Carlo for non-IID models, and for IID models keeps
-/// the analytic engine only when it passes the options.validation
-/// spot-check against a small MC run. When `note` is non-null it receives
-/// a human-readable reason whenever kAuto resolves away from analytic.
+/// the analytic engine only when it passes the spot-check against a small
+/// MC run (the kAuto* constants in core/backend.h). When `note` is non-null
+/// it receives a human-readable reason whenever kAuto resolves away from
+/// analytic.
 StatusOr<std::unique_ptr<PredictionEngine>> MakePredictionEngine(
     const QuorumConfig& config, const ReplicaLatencyModelPtr& model,
     const PredictorOptions& options, std::string* note = nullptr);

@@ -316,20 +316,6 @@ void ReplicaLatencyModel::SampleTrialsSoA(Rng& rng, int trials,
   }
 }
 
-void ReplicaLatencyModel::SampleTrial(
-    Rng& rng, std::vector<ReplicaLegSample>* out) const {
-  const int n = num_replicas();
-  std::vector<double> legs(static_cast<size_t>(4 * n));
-  SampleTrialSoA(rng, legs.data());
-  out->resize(n);
-  for (int i = 0; i < n; ++i) {
-    (*out)[i].w = legs[i];
-    (*out)[i].a = legs[n + i];
-    (*out)[i].r = legs[2 * n + i];
-    (*out)[i].s = legs[3 * n + i];
-  }
-}
-
 ReplicaLatencyModelPtr MakeLocalCoordinatorModel(const WarsDistributions& base,
                                                  int n, bool same_coordinator,
                                                  double local_delay_ms) {
@@ -501,25 +487,15 @@ void WarsSimulator::ComputeTrialFromLegs(const double* w, const double* a,
   // the trial's threshold is the minimum gap among them, minus wt.
   double threshold;
   if (read_fanout_ == ReadFanout::kAllN) {
-    // Dynamo: contact all N, return after the R fastest round trips. Sort
-    // r+s with the w-r gap carried along so the first R entries are exactly
-    // the responders.
-    if (n <= 8) {
-      SmallSortPairs(rs, gap, n);
-      trial->read_latency = rs[rr - 1];
-      double g = gap[0];
-      for (int k = 1; k < rr; ++k) g = std::min(g, gap[k]);
-      threshold = g - wt;
-    } else {
-      std::iota(read_order_.begin(), read_order_.end(), 0);
-      std::partial_sort(read_order_.begin(), read_order_.begin() + rr,
-                        read_order_.end(),
-                        [&](int x, int y) { return rs[x] < rs[y]; });
-      trial->read_latency = rs[read_order_[rr - 1]];
-      double g = std::numeric_limits<double>::infinity();
-      for (int k = 0; k < rr; ++k) g = std::min(g, gap[read_order_[k]]);
-      threshold = g - wt;
-    }
+    // Dynamo: contact all N, return after the R fastest round trips.
+    std::iota(read_order_.begin(), read_order_.end(), 0);
+    std::partial_sort(read_order_.begin(), read_order_.begin() + rr,
+                      read_order_.end(),
+                      [&](int x, int y) { return rs[x] < rs[y]; });
+    trial->read_latency = rs[read_order_[rr - 1]];
+    double g = std::numeric_limits<double>::infinity();
+    for (int k = 0; k < rr; ++k) g = std::min(g, gap[read_order_[k]]);
+    threshold = g - wt;
   } else {
     // Voldemort: contact a uniformly random R-subset, wait for all of it.
     std::iota(read_order_.begin(), read_order_.end(), 0);

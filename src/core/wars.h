@@ -14,22 +14,14 @@
 
 namespace pbs {
 
-/// One-way message delays for a single replica within one write-then-read
-/// operation pair (Figure 3 of the paper):
-///   w — write request, coordinator -> replica,
-///   a — write acknowledgment, replica -> coordinator,
-///   r — read request, coordinator -> replica,
-///   s — read response, replica -> coordinator.
-struct ReplicaLegSample {
-  double w = 0.0;
-  double a = 0.0;
-  double r = 0.0;
-  double s = 0.0;
-};
-
-/// Produces per-replica WARS delay samples for one trial. The common case is
-/// IID legs (each replica's delays drawn from shared W/A/R/S distributions);
-/// the WAN model makes one replica local and delays every leg of the others.
+/// Produces per-replica WARS delay samples for one trial: the one-way
+/// message delays of each replica within one write-then-read operation
+/// pair (Figure 3 of the paper) — w, the write request (coordinator ->
+/// replica); a, the write acknowledgment (replica -> coordinator); r, the
+/// read request (coordinator -> replica); s, the read response (replica ->
+/// coordinator). The common case is IID legs (each replica's delays drawn
+/// from shared W/A/R/S distributions); the WAN model makes one replica
+/// local and delays every leg of the others.
 ///
 /// RNG-consumption contract (v2, see DESIGN.md): models sample leg-major —
 /// all N w legs, then all a, r, s legs — through compiled sampler plans
@@ -64,11 +56,6 @@ class ReplicaLatencyModel {
   /// equally deterministic, draw order; both are fixed functions of the
   /// stream and block size).
   virtual void SampleTrialsSoA(Rng& rng, int trials, double* legs) const;
-
-  /// Convenience wrapper: same trial as SampleTrialSoA, transposed into
-  /// per-replica structs. Resizes `out` to num_replicas(). Not for hot
-  /// loops (allocates scratch on first use per call).
-  void SampleTrial(Rng& rng, std::vector<ReplicaLegSample>* out) const;
 
   /// The shared per-leg distributions when this model is IID across
   /// replicas, nullptr otherwise (WAN, heterogeneous, local-coordinator).

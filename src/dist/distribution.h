@@ -27,16 +27,12 @@ class Distribution {
   virtual double Sample(Rng& rng) const;
 
   /// Fills `out` with independent samples distributed like Sample(rng).
-  /// Overrides exist so the per-sample virtual dispatch (and, for the
-  /// primitives, the libm calls) can be hoisted out of Monte Carlo hot loops.
-  /// Two contractual requirements on overrides:
-  ///   - consume exactly the same number of Rng draws per sample as Sample()
-  ///     so interleaved scalar/batch sequences stay deterministic;
-  ///   - match Sample()'s distribution to within the fast-math tolerance of
-  ///     util/fastmath.h (relative error ~4e-6, far below Monte Carlo noise;
-  ///     equivalence is pinned by KS tests in tests/dist_sampler_test.cc).
-  /// Individual values may therefore differ from Sample() in the last few
-  /// digits; batch results remain bit-reproducible run-to-run.
+  /// This is CompiledSampler's fallback for the trees it cannot compile:
+  /// empirical legs, mixtures with a non-invertible component, and affine
+  /// wrappers around those. Their overrides hoist the per-sample virtual
+  /// dispatch out of the loop and must consume exactly the same Rng draws
+  /// per sample as Sample(), so interleaved scalar/batch sequences stay
+  /// deterministic (the draws are pinned in tests/dist_sampler_test.cc).
   virtual void SampleBatch(Rng& rng, std::span<double> out) const;
 
   /// P(X <= x).

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <limits>
 
-#include "util/fastmath.h"
 #include "util/stats.h"
 
 namespace pbs {
@@ -15,20 +14,11 @@ double StdNormalCdf(double x) {
   return 0.5 * std::erfc(-x / std::sqrt(2.0));
 }
 
-// Batched samplers process the output span in fixed-size tiles so the scratch
-// array lives in registers/L1 and each transform pass autovectorizes.
-constexpr int kBatchTile = 64;
-
 // Largest double strictly below 1.0 on the 53-bit uniform grid. Quantile
 // arguments are clamped here in sampling paths so that a 1-in-2^53 edge draw
 // (or internal rounding up to exactly 1.0) cannot produce an infinite
 // latency.
 constexpr double kMaxOpenUniform = 0x1.fffffffffffffp-1;  // 1 - 2^-53
-
-constexpr double kLn2 = 0.6931471805599453;
-
-// FastExp2's exponent bit trick wraps outside roughly +-1022; keep a margin.
-constexpr double kExp2Limit = 1020.0;
 
 }  // namespace
 
@@ -43,25 +33,6 @@ ExponentialDistribution::ExponentialDistribution(double lambda)
 double ExponentialDistribution::Cdf(double x) const {
   if (x <= 0.0) return 0.0;
   return 1.0 - std::exp(-lambda_ * x);
-}
-
-void ExponentialDistribution::SampleBatch(Rng& rng,
-                                          std::span<double> out) const {
-  // out = -ln(1-u)/lambda = (-ln2/lambda) * log2(1-u). The RNG fill is one
-  // pass (a serial dependence through the generator state); the log pass is
-  // branch-free arithmetic the autovectorizer handles.
-  const double c = -kLn2 / lambda_;
-  double v[kBatchTile];
-  size_t done = 0;
-  while (done < out.size()) {
-    const int n =
-        static_cast<int>(std::min<size_t>(kBatchTile, out.size() - done));
-    for (int i = 0; i < n; ++i) v[i] = 1.0 - rng.NextDouble();
-    for (int i = 0; i < n; ++i) v[i] = FastLog2(v[i]);
-    double* o = out.data() + done;
-    for (int i = 0; i < n; ++i) o[i] = c * v[i];
-    done += static_cast<size_t>(n);
-  }
 }
 
 double ExponentialDistribution::Quantile(double p) const {
@@ -86,27 +57,6 @@ ParetoDistribution::ParetoDistribution(double xm, double alpha)
 double ParetoDistribution::Cdf(double x) const {
   if (x < xm_) return 0.0;
   return 1.0 - std::pow(xm_ / x, alpha_);
-}
-
-void ParetoDistribution::SampleBatch(Rng& rng, std::span<double> out) const {
-  // out = xm * (1-u)^(-1/alpha) = xm * exp2((-1/alpha) * log2(1-u)).
-  // log2(1-u) is in [-53, 0], so the exp2 argument is in [0, 53/alpha];
-  // clamp it so a pathological alpha cannot wrap FastExp2's exponent trick.
-  const double c = -1.0 / alpha_;
-  double v[kBatchTile];
-  size_t done = 0;
-  while (done < out.size()) {
-    const int n =
-        static_cast<int>(std::min<size_t>(kBatchTile, out.size() - done));
-    for (int i = 0; i < n; ++i) v[i] = 1.0 - rng.NextDouble();
-    for (int i = 0; i < n; ++i) v[i] = FastLog2(v[i]);
-    double* o = out.data() + done;
-    for (int i = 0; i < n; ++i) {
-      const double t = c * v[i];
-      o[i] = xm_ * FastExp2(t < kExp2Limit ? t : kExp2Limit);
-    }
-    done += static_cast<size_t>(n);
-  }
 }
 
 double ParetoDistribution::Quantile(double p) const {
@@ -139,11 +89,6 @@ double UniformDistribution::Cdf(double x) const {
   return (x - lo_) / (hi_ - lo_);
 }
 
-void UniformDistribution::SampleBatch(Rng& rng, std::span<double> out) const {
-  const double range = hi_ - lo_;
-  for (double& x : out) x = lo_ + rng.NextDouble() * range;
-}
-
 double UniformDistribution::Quantile(double p) const {
   assert(p >= 0.0 && p <= 1.0);
   return lo_ + p * (hi_ - lo_);
@@ -167,14 +112,6 @@ double TruncatedNormalDistribution::Cdf(double x) const {
   if (x <= 0.0) return 0.0;
   const double untruncated = StdNormalCdf((x - mu_) / sigma_);
   return (untruncated - below_zero_) / (1.0 - below_zero_);
-}
-
-void TruncatedNormalDistribution::SampleBatch(Rng& rng,
-                                              std::span<double> out) const {
-  // InverseNormalCdf is a three-region rational approximation that does not
-  // vectorize; the win here is devirtualization (class is final, so the
-  // Quantile call below is direct and inlinable).
-  for (double& x : out) x = Quantile(rng.NextDouble());
 }
 
 double TruncatedNormalDistribution::Quantile(double p) const {
@@ -216,11 +153,6 @@ double LogNormalDistribution::Cdf(double x) const {
   return StdNormalCdf((std::log(x) - mu_) / sigma_);
 }
 
-void LogNormalDistribution::SampleBatch(Rng& rng,
-                                        std::span<double> out) const {
-  for (double& x : out) x = Quantile(rng.NextDouble());
-}
-
 double LogNormalDistribution::Quantile(double p) const {
   assert(p >= 0.0 && p <= 1.0);
   if (p <= 0.0) return 0.0;
@@ -251,34 +183,6 @@ double WeibullDistribution::Cdf(double x) const {
   return 1.0 - std::exp(-std::pow(x / scale_, shape_));
 }
 
-void WeibullDistribution::SampleBatch(Rng& rng, std::span<double> out) const {
-  // out = scale * (-ln(1-u))^(1/shape)
-  //     = scale * exp2((1/shape) * log2(-ln2 * log2(1-u))).
-  // An edge draw u == 0 makes t == 0; flooring t keeps FastLog2 in its
-  // domain, and the exp2-argument clamp then maps the result to ~0 (the
-  // mathematically correct Quantile(0)) instead of wrapping the exponent.
-  const double inv_shape = 1.0 / shape_;
-  double v[kBatchTile];
-  size_t done = 0;
-  while (done < out.size()) {
-    const int n =
-        static_cast<int>(std::min<size_t>(kBatchTile, out.size() - done));
-    for (int i = 0; i < n; ++i) v[i] = 1.0 - rng.NextDouble();
-    for (int i = 0; i < n; ++i) v[i] = FastLog2(v[i]);
-    for (int i = 0; i < n; ++i) {
-      const double t = std::max(-kLn2 * v[i], 1e-300);
-      v[i] = FastLog2(t);
-    }
-    double* o = out.data() + done;
-    for (int i = 0; i < n; ++i) {
-      const double t =
-          std::clamp(inv_shape * v[i], -kExp2Limit, kExp2Limit);
-      o[i] = scale_ * FastExp2(t);
-    }
-    done += static_cast<size_t>(n);
-  }
-}
-
 double WeibullDistribution::Quantile(double p) const {
   assert(p >= 0.0 && p <= 1.0);
   if (p >= 1.0) return std::numeric_limits<double>::infinity();
@@ -301,16 +205,6 @@ PointMassDistribution::PointMassDistribution(double value) : value_(value) {}
 
 double PointMassDistribution::Cdf(double x) const {
   return x >= value_ ? 1.0 : 0.0;
-}
-
-void PointMassDistribution::SampleBatch(Rng& rng,
-                                        std::span<double> out) const {
-  // Consumes one draw per sample like Sample() does, so that interleaved
-  // sequences stay aligned with the scalar path.
-  for (double& x : out) {
-    rng.NextDouble();
-    x = value_;
-  }
 }
 
 double PointMassDistribution::Quantile(double) const { return value_; }

@@ -13,7 +13,6 @@ class ExponentialDistribution final : public Distribution {
  public:
   explicit ExponentialDistribution(double lambda);
 
-  void SampleBatch(Rng& rng, std::span<double> out) const override;
   double Cdf(double x) const override;
   double Quantile(double p) const override;
   double Mean() const override { return 1.0 / lambda_; }
@@ -31,7 +30,6 @@ class ParetoDistribution final : public Distribution {
  public:
   ParetoDistribution(double xm, double alpha);
 
-  void SampleBatch(Rng& rng, std::span<double> out) const override;
   double Cdf(double x) const override;
   double Quantile(double p) const override;
   double Mean() const override;
@@ -50,7 +48,6 @@ class UniformDistribution final : public Distribution {
  public:
   UniformDistribution(double lo, double hi);
 
-  void SampleBatch(Rng& rng, std::span<double> out) const override;
   double Cdf(double x) const override;
   double Quantile(double p) const override;
   double Mean() const override { return 0.5 * (lo_ + hi_); }
@@ -70,7 +67,6 @@ class TruncatedNormalDistribution final : public Distribution {
  public:
   TruncatedNormalDistribution(double mu, double sigma);
 
-  void SampleBatch(Rng& rng, std::span<double> out) const override;
   double Cdf(double x) const override;
   double Quantile(double p) const override;
   double Mean() const override;
@@ -90,7 +86,6 @@ class LogNormalDistribution final : public Distribution {
  public:
   LogNormalDistribution(double mu, double sigma);
 
-  void SampleBatch(Rng& rng, std::span<double> out) const override;
   double Cdf(double x) const override;
   double Quantile(double p) const override;
   double Mean() const override;
@@ -109,7 +104,6 @@ class WeibullDistribution final : public Distribution {
  public:
   WeibullDistribution(double shape, double scale);
 
-  void SampleBatch(Rng& rng, std::span<double> out) const override;
   double Cdf(double x) const override;
   double Quantile(double p) const override;
   double Mean() const override;
@@ -129,7 +123,6 @@ class PointMassDistribution final : public Distribution {
  public:
   explicit PointMassDistribution(double value);
 
-  void SampleBatch(Rng& rng, std::span<double> out) const override;
   double Cdf(double x) const override;
   double Quantile(double p) const override;
   double Mean() const override { return value_; }

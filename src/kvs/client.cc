@@ -24,7 +24,6 @@ void ClientSession::Write(Key key, std::string value, WriteCallback done) {
   versioned.stamp.timestamp = cluster_->sim().now();
   versioned.stamp.writer = client_id_;
   versioned.value = std::move(value);
-  versioned.clock.Increment(client_id_);
   const double now = cluster_->sim().now();
   const uint64_t trace_id =
       cluster_->tracer().StartOp(/*is_write=*/true, key, coordinator_, now);

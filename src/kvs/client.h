@@ -21,7 +21,7 @@ class Cluster;
 
 /// A client session bound to one coordinator ("sticky" routing unless the
 /// caller rebinds). Sessions assign write version metadata (global per-key
-/// sequence, LWW stamp, vector clock entry) and track the monotonic-reads
+/// sequence and LWW stamp) and track the monotonic-reads
 /// session guarantee (Section 3.2): a read that returns an older version
 /// than this session previously saw for the key counts as a violation.
 ///

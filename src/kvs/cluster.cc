@@ -119,22 +119,11 @@ Cluster::Cluster(const KvsConfig& config)
   read_mix_.mix = 0.0;
   // Freshness classification runs for the controller and/or the drift
   // monitor; both require a declared SLA (Validate enforces this for the
-  // pbs::Config path). The commit rings size off ControllerOptions, whose
-  // defaults hold even when only the monitor wants measurement.
+  // pbs::Config path).
   freshness_enabled_ =
       (config_.controller.enabled ||
        (config_.obs.monitor_enabled && config_.obs.telemetry_window_ms > 0.0)) &&
       config_.sla.enabled();
-  if (freshness_enabled_) {
-    const int classes = config_.controller.num_key_classes;
-    commit_rings_.assign(classes, {});
-    for (auto& ring : commit_rings_) {
-      ring.assign(config_.controller.freshness_window, CommitRecord{});
-    }
-    commit_ring_next_.assign(classes, 0);
-    fresh_by_class_.assign(classes, 0);
-    stale_by_class_.assign(classes, 0);
-  }
   Rng master(config_.seed);
   network_ = std::make_unique<Network>(&sim_, master.Next());
   const int total = num_replicas() + num_coordinators();
@@ -358,19 +347,13 @@ int Cluster::EffectiveReadQuorumFor(Key key) {
 
 void Cluster::RecordCommit(Key key, int64_t sequence, double commit_time) {
   if (!freshness_enabled_) return;
-  const int cls =
-      static_cast<int>(key % static_cast<Key>(commit_rings_.size()));
-  auto& ring = commit_rings_[cls];
-  int& next = commit_ring_next_[cls];
-  ring[next] = CommitRecord{key, sequence, commit_time};
-  next = (next + 1) % static_cast<int>(ring.size());
+  commit_ring_[commit_ring_next_] = CommitRecord{key, sequence, commit_time};
+  commit_ring_next_ = (commit_ring_next_ + 1) % kCommitRingDepth;
 }
 
 void Cluster::RecordReadOutcome(Key key, int64_t returned_sequence,
                                 double read_start_time) {
   if (!freshness_enabled_) return;
-  const int cls =
-      static_cast<int>(key % static_cast<Key>(commit_rings_.size()));
   // Stale beyond the SLA bound t iff some version of `key` newer than the
   // returned one committed at least t before the read started — i.e. a
   // read issued t after that commit still missed it. Bounded by the ring
@@ -378,7 +361,7 @@ void Cluster::RecordReadOutcome(Key key, int64_t returned_sequence,
   // approximation for long-tailed key spaces.
   const double cutoff = read_start_time - config_.sla.staleness_bound_ms;
   bool stale = false;
-  for (const CommitRecord& rec : commit_rings_[cls]) {
+  for (const CommitRecord& rec : commit_ring_) {
     if (rec.sequence == 0 || rec.key != key) continue;
     if (rec.sequence > returned_sequence && rec.commit_time <= cutoff) {
       stale = true;
@@ -386,10 +369,8 @@ void Cluster::RecordReadOutcome(Key key, int64_t returned_sequence,
     }
   }
   if (stale) {
-    ++stale_by_class_[cls];
     ++metrics_.reads_stale_measured;
   } else {
-    ++fresh_by_class_[cls];
     ++metrics_.reads_fresh_measured;
   }
 }
@@ -400,7 +381,6 @@ void Cluster::StartFailureDetector() {
     PhiAccrualFailureDetector::Options options;
     options.heartbeat_interval_ms = config_.heartbeat_interval_ms;
     options.threshold = config_.phi_threshold;
-    options.window_size = config_.phi_window_size;
     options.min_std_ms = config_.phi_min_std_ms;
     options.max_silence_intervals = config_.phi_max_silence_intervals;
     failure_detector_ = std::make_unique<PhiAccrualFailureDetector>(
@@ -636,8 +616,8 @@ void Cluster::TelemetryTick() {
   // Consume the window's new latency samples exactly once: record them
   // straight into the window's delta histograms (exact min/max, no dense
   // cumulative rebuild) and keep the slice bounds for the monitor's
-  // quantiles. Empty slices record nothing, matching RegistryDelta's
-  // drop-quiet-instruments semantics.
+  // quantiles. Empty slices record nothing, so quiet instruments stay out
+  // of the window.
   const auto& read_samples = metrics_.read_latency.samples();
   const auto& write_samples = metrics_.write_latency.samples();
   const size_t read_begin = telemetry_read_seen_;

@@ -86,10 +86,6 @@ struct KvsConfig {
   /// pbs::RetryOptions.
   RetryOptions retry;
 
-  /// Deprecated alias for the pre-Config nested policy name; new code
-  /// should spell pbs::RetryOptions.
-  using ClientRetryPolicy = RetryOptions;
-
   /// Observability: causal op tracing policy (see obs/options.h). RNG
   /// neutral — enabling tracing never changes a seeded run's results.
   ObsOptions obs;
@@ -120,13 +116,12 @@ struct KvsConfig {
   /// Failure detection (used by sloppy quorums; also available standalone
   /// via Cluster::StartFailureDetector). kHeartbeat suspects after a fixed
   /// silence; kPhiAccrual accrues suspicion from the empirical pong
-  /// inter-arrival distribution (threshold/window/floor below).
+  /// inter-arrival distribution (threshold/floor below).
   enum class FailureDetectorKind { kHeartbeat, kPhiAccrual };
   FailureDetectorKind failure_detector = FailureDetectorKind::kHeartbeat;
   double heartbeat_interval_ms = 100.0;
   double suspect_timeout_ms = 400.0;   // kHeartbeat
   double phi_threshold = 8.0;          // kPhiAccrual: suspect at φ >= this
-  int phi_window_size = 128;
   double phi_min_std_ms = 2.0;
   // kPhiAccrual silence backstop in heartbeat intervals (<= 0 disables);
   // bounds detection of nodes silent from t = 0 or after a poisoned window.
@@ -326,23 +321,15 @@ class Cluster {
   /// metrics as mixed_reads_lo/hi while mixing.
   int EffectiveReadQuorumFor(Key key);
 
-  /// Freshness measurement for the controller (active only when
-  /// config.controller.enabled and config.sla is set; otherwise free).
-  /// RecordCommit logs (key, sequence, commit time) into the key class's
+  /// Freshness measurement for the controller and the drift monitor
+  /// (active only when one of them is enabled and config.sla is set;
+  /// otherwise free). RecordCommit logs (key, sequence, commit time) into a
   /// fixed commit ring; RecordReadOutcome classifies a finished read as
-  /// fresh/stale within the SLA's staleness bound against that ring.
+  /// fresh/stale within the SLA's staleness bound against that ring and
+  /// counts it in metrics().reads_fresh_measured / reads_stale_measured.
   void RecordCommit(Key key, int64_t sequence, double commit_time);
   void RecordReadOutcome(Key key, int64_t returned_sequence,
                          double read_start_time);
-
-  /// Measured fresh/stale read counts per key class (cumulative; the
-  /// controller differences them per epoch).
-  int64_t FreshReads(int key_class) const {
-    return fresh_by_class_[key_class];
-  }
-  int64_t StaleReads(int key_class) const {
-    return stale_by_class_[key_class];
-  }
 
   /// Monotonically increasing request identifier.
   uint64_t NextRequestId() { return next_request_id_++; }
@@ -478,10 +465,9 @@ class Cluster {
     int64_t sequence = 0;
     double commit_time = 0.0;
   };
-  std::vector<std::vector<CommitRecord>> commit_rings_;  // per key class
-  std::vector<int> commit_ring_next_;
-  std::vector<int64_t> fresh_by_class_;
-  std::vector<int64_t> stale_by_class_;
+  static constexpr int kCommitRingDepth = 8;
+  std::array<CommitRecord, kCommitRingDepth> commit_ring_{};
+  int commit_ring_next_ = 0;
   bool freshness_enabled_ = false;
 
   // Elastic membership state. `previous_rings_` holds the pre-change

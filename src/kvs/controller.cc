@@ -17,6 +17,14 @@ namespace kvs {
 
 namespace {
 
+// Measured-vs-promised disagreement tolerated before rolling back the
+// previous step (fractional: 0.1 = the measured window may be 10% worse
+// than the SLA bound the predictor promised).
+constexpr double kRollbackTolerance = 0.1;
+
+// Hedge-quantile step per epoch when latency needs tightening.
+constexpr double kHedgeQuantileStep = 0.04;
+
 // FNV-1a 64-bit, folded over raw bytes.
 inline uint64_t FnvFold(uint64_t hash, const void* data, size_t size) {
   const unsigned char* bytes = static_cast<const unsigned char*>(data);
@@ -97,12 +105,8 @@ ConsistencyController::Measurement ConsistencyController::MeasureWindow() {
     std::sort(window.begin(), window.end());
     m.read_p99_ms = QuantileSorted(window, 0.99);
   }
-  int64_t fresh = 0, stale = 0;
-  const int classes = cluster_->config().controller.num_key_classes;
-  for (int c = 0; c < classes; ++c) {
-    fresh += cluster_->FreshReads(c);
-    stale += cluster_->StaleReads(c);
-  }
+  const int64_t fresh = cluster_->metrics().reads_fresh_measured;
+  const int64_t stale = cluster_->metrics().reads_stale_measured;
   const int64_t fresh_delta = fresh - fresh_seen_;
   const int64_t stale_delta = stale - stale_seen_;
   if (fresh_delta + stale_delta > 0) {
@@ -278,12 +282,12 @@ void ConsistencyController::Tick() {
   // window disagrees beyond the tolerance, revert it and cool down.
   if (step_armed_) {
     step_armed_ = false;
-    const double tol = opts.rollback_tolerance;
     const bool fresh_broken =
         m.fresh_fraction >= 0.0 &&
-        m.fresh_fraction < sla_.fresh_probability * (1.0 - tol);
+        m.fresh_fraction < sla_.fresh_probability * (1.0 - kRollbackTolerance);
     const bool latency_broken =
-        m.reads > 0 && m.read_p99_ms > sla_.read_p99_ms * (1.0 + tol);
+        m.reads > 0 &&
+        m.read_p99_ms > sla_.read_p99_ms * (1.0 + kRollbackTolerance);
     if (fresh_broken || latency_broken) {
       Actuate(pre_step_);
       current = pre_step_;
@@ -347,9 +351,9 @@ void ConsistencyController::Tick() {
   // request is no longer a hedge but a duplicate).
   if (measured_latency_violation && !measured_fresh_violation &&
       current.hedge_enabled &&
-      current.hedge_quantile - opts.hedge_quantile_step > 0.5) {
+      current.hedge_quantile - kHedgeQuantileStep > 0.5) {
     KnobState next = current;
-    next.hedge_quantile -= opts.hedge_quantile_step;
+    next.hedge_quantile -= kHedgeQuantileStep;
     actuate_step(next, "hedge_tighten");
     return;
   }

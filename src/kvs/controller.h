@@ -30,8 +30,8 @@ class Cluster;
 ///                over the epoch window.
 ///   2. ROLLBACK— if the previous epoch actuated a step whose predictor
 ///                said "feasible" but the *measured* window violates the
-///                SLA beyond rollback_tolerance, revert the step and hold
-///                for cooldown_epochs.
+///                SLA by more than 10%, revert the step and hold for
+///                cooldown_epochs.
 ///   3. PREDICT — re-run the WARS engine (core/adaptive's
 ///                EvaluateMixedQuorum) on the incumbent knob state and its
 ///                one-knob-step neighbors: mix +/- mix_step, r_lo +/- 1,

@@ -8,6 +8,12 @@
 
 namespace pbs {
 namespace kvs {
+namespace {
+
+// Inter-arrival samples the φ-accrual window keeps per node.
+constexpr int kPhiWindowSize = 128;
+
+}  // namespace
 
 FailureDetector::FailureDetector(Cluster* cluster, double ping_interval_ms,
                                  uint64_t seed)
@@ -109,7 +115,6 @@ PhiAccrualFailureDetector::PhiAccrualFailureDetector(Cluster* cluster,
       options_(options),
       states_(cluster->num_replicas()) {
   assert(options.threshold > 0.0);
-  assert(options.window_size >= 2);
   assert(options.min_std_ms > 0.0);
 }
 
@@ -135,7 +140,7 @@ void PhiAccrualFailureDetector::RecordArrival(NodeId node, double now) {
   NodeState& state = states_[node];
   if (state.arrivals > 0) {
     const double interval = now - state.last_arrival;
-    if (static_cast<int>(state.window.size()) < options_.window_size) {
+    if (static_cast<int>(state.window.size()) < kPhiWindowSize) {
       state.window.push_back(interval);
       state.sum += interval;
       state.sum_sq += interval * interval;
@@ -144,7 +149,7 @@ void PhiAccrualFailureDetector::RecordArrival(NodeId node, double now) {
       state.window[state.next] = interval;
       state.sum += interval - evicted;
       state.sum_sq += interval * interval - evicted * evicted;
-      state.next = (state.next + 1) % options_.window_size;
+      state.next = (state.next + 1) % kPhiWindowSize;
     }
   }
   state.last_arrival = now;

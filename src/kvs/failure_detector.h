@@ -103,7 +103,6 @@ class PhiAccrualFailureDetector : public FailureDetector {
   struct Options {
     double heartbeat_interval_ms = 100.0;
     double threshold = 8.0;        // suspect at P(gap) < 1e-8
-    int window_size = 128;         // inter-arrival samples kept per node
     double min_std_ms = 2.0;       // variance floor (deterministic links)
 
     /// Cold-start / poisoned-window backstop: regardless of the windowed φ,
@@ -136,7 +135,7 @@ class PhiAccrualFailureDetector : public FailureDetector {
     double last_arrival = 0.0;
     int64_t arrivals = 0;
     // Sliding-window sums for mean/stddev of inter-arrival times.
-    std::vector<double> window;  // ring buffer, size <= window_size
+    std::vector<double> window;  // ring buffer of the last 128 intervals
     int next = 0;
     double sum = 0.0;
     double sum_sq = 0.0;

@@ -10,6 +10,14 @@
 
 namespace pbs {
 namespace kvs {
+namespace {
+
+// Transfers shipped per batch per source node.
+constexpr int kKeysPerBatch = 64;
+// Re-sends of a dropped transfer before the range is left to anti-entropy.
+constexpr int kMaxTransferRetries = 3;
+
+}  // namespace
 
 Migrator::Migrator(Cluster* cluster, uint64_t seed)
     : cluster_(cluster), rng_(seed) {}
@@ -74,8 +82,7 @@ void Migrator::PumpStream(NodeId src) {
     return;
   }
   std::deque<Transfer>& queue = it->second;
-  const int batch = cluster_->config().rebalance.max_keys_per_batch;
-  for (int i = 0; i < batch && !queue.empty(); ++i) {
+  for (int i = 0; i < kKeysPerBatch && !queue.empty(); ++i) {
     Transfer transfer = queue.front();
     queue.pop_front();
     Dispatch(transfer);
@@ -121,8 +128,7 @@ void Migrator::Dispatch(Transfer transfer) {
       });
   if (!sent) {
     --outstanding_;
-    if (transfer.attempts <
-        cluster_->config().rebalance.max_transfer_retries) {
+    if (transfer.attempts < kMaxTransferRetries) {
       ++metrics.migration_transfer_retries;
       ++transfer.attempts;
       queues_[transfer.src].push_back(transfer);

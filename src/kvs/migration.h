@@ -21,15 +21,15 @@ class Cluster;
 /// The Migrator computes, per membership change, the set of (key, source,
 /// destination) transfers — a destination is any *new-epoch* replica that
 /// was not already a replica in the old epoch — and streams them out in
-/// paced batches per source node (RebalanceOptions::stream_interval_ms /
-/// max_keys_per_batch), so migration competes gently with foreground
-/// traffic.
+/// paced batches per source node (64 keys every
+/// RebalanceOptions::stream_interval_ms), so migration competes gently with
+/// foreground traffic.
 ///
 /// Transfers travel over the simulated network as repair-style write legs
 /// and apply through the normal last-writer-wins storage path, so a
 /// migrated value can never clobber a newer foreground write. Values are
 /// re-read from the source's storage at send time (freshest version wins).
-/// A transfer the network drops retries up to max_transfer_retries times;
+/// A transfer the network drops retries up to 3 times;
 /// beyond that it is abandoned to preference-list-scoped anti-entropy and
 /// counted in migration_transfers_dropped. While any transfer is
 /// outstanding the cluster routes operations to the union of old- and
@@ -66,7 +66,7 @@ class Migrator {
     int attempts = 0;
   };
 
-  /// Ships up to max_keys_per_batch transfers from `src`'s queue, then
+  /// Ships one batch of transfers from `src`'s queue, then
   /// reschedules itself after stream_interval_ms until the queue drains.
   void PumpStream(NodeId src);
 

@@ -10,6 +10,12 @@
 
 namespace pbs {
 namespace kvs {
+namespace {
+
+// Extra request legs one hedge wave may send.
+constexpr int kHedgeLegsPerWave = 2;
+
+}  // namespace
 
 Node::Node(Cluster* cluster, NodeId id, bool is_replica, uint64_t seed)
     : cluster_(cluster), id_(id), is_replica_(is_replica), rng_(seed) {
@@ -484,9 +490,8 @@ void Node::OnHedgeDeadline(uint64_t request_id) {
   if (slot == nullptr) return;  // collection already finished
   PendingRead& pending = *slot;
   if (pending.returned()) return;  // R assembled in time: nothing to protect
-  const KvsConfig& config = cluster_->config();
   const double now = cluster_->sim().now();
-  int budget = std::max(1, config.hedge.max_per_read);
+  int budget = kHedgeLegsPerWave;
   // Prefer preference-list replicas never contacted (the kQuorumOnly
   // leftover pool): a fresh replica dodges whatever is slowing the original
   // targets. Fall back to re-sending to contacted-but-silent replicas,

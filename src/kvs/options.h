@@ -16,12 +16,12 @@ namespace pbs {
 /// repair stay correct. The delay defaults to the `quantile` of the
 /// request+response leg round trip (sum of the two legs' quantiles — an
 /// upper bound, which only makes hedging slightly lazier); set delay_ms > 0
-/// to pin it explicitly.
+/// to pin it explicitly. Each hedge wave sends at most two extra request
+/// legs.
 struct HedgeOptions {
   bool enabled = false;
   double quantile = 0.99;
   double delay_ms = 0.0;   // 0 = derive from `quantile`
-  int max_per_read = 2;    // extra request legs per hedge wave
 
   Status Validate() const {
     if (quantile <= 0.0 || quantile >= 1.0) {
@@ -30,9 +30,6 @@ struct HedgeOptions {
     }
     if (delay_ms < 0.0) {
       return Status::InvalidArgument("hedge.delay_ms must be >= 0");
-    }
-    if (max_per_read < 1) {
-      return Status::InvalidArgument("hedge.max_per_read must be >= 1");
     }
     return Status::Ok();
   }
@@ -74,20 +71,12 @@ struct RetryOptions {
 /// key ranges from their old owners to their new owners in paced batches,
 /// while coordinators fan operations out to the *union* of old- and
 /// new-epoch replica sets so no acknowledged write becomes unreadable
-/// mid-rebalance. Transfers travel as write-request legs; a dropped
-/// transfer retries up to `max_transfer_retries` times before being left to
-/// preference-list-scoped anti-entropy.
+/// mid-rebalance. Transfers travel as write-request legs in paced batches
+/// (kvs/migration.h); a dropped transfer retries a bounded number of times
+/// before being left to preference-list-scoped anti-entropy.
 struct RebalanceOptions {
   /// Pause between consecutive migration batches from one source node.
   double stream_interval_ms = 25.0;
-
-  /// Values shipped per batch per source node (paces migration load
-  /// against foreground traffic).
-  int max_keys_per_batch = 64;
-
-  /// Re-sends for transfers the network dropped before handing the range
-  /// over to anti-entropy repair.
-  int max_transfer_retries = 3;
 
   /// Crash removed nodes once their data has fully drained (process
   /// decommission). Leave false to keep them around as cold spares.
@@ -97,14 +86,6 @@ struct RebalanceOptions {
     if (stream_interval_ms <= 0.0) {
       return Status::InvalidArgument(
           "rebalance.stream_interval_ms must be > 0");
-    }
-    if (max_keys_per_batch < 1) {
-      return Status::InvalidArgument(
-          "rebalance.max_keys_per_batch must be >= 1");
-    }
-    if (max_transfer_retries < 0) {
-      return Status::InvalidArgument(
-          "rebalance.max_transfer_retries must be >= 0");
     }
     return Status::Ok();
   }
@@ -123,11 +104,6 @@ struct ControllerOptions {
   /// Control epoch: sense + predict + actuate once per this many sim-ms.
   double epoch_ms = 2000.0;
 
-  /// Key classes (key % num_key_classes) tracked separately for freshness
-  /// accounting. Quorum actuation is currently cluster-wide; classes keep
-  /// the measurement honest for skewed workloads.
-  int num_key_classes = 1;
-
   /// Observed leg samples required before the controller trusts an
   /// empirical re-fit; below this it predicts from the configured legs.
   int min_leg_samples = 64;
@@ -144,17 +120,6 @@ struct ControllerOptions {
 
   /// Mix-probability step per epoch (McKenzie fractional quorums).
   double mix_step = 0.25;
-
-  /// Hedge-quantile step per epoch when latency needs tightening.
-  double hedge_quantile_step = 0.04;
-
-  /// Commit-ring depth per key class for freshness measurement.
-  int freshness_window = 8;
-
-  /// Measured-vs-predicted disagreement tolerance before rolling back the
-  /// previous step (fractional: 0.1 = measured may be 10% worse than the
-  /// SLA bound the predictor promised).
-  double rollback_tolerance = 0.1;
 
   /// Epochs to hold after a rollback before trying another step.
   int cooldown_epochs = 2;
@@ -182,10 +147,6 @@ struct ControllerOptions {
     if (epoch_ms <= 0.0) {
       return Status::InvalidArgument("controller.epoch_ms must be > 0");
     }
-    if (num_key_classes < 1) {
-      return Status::InvalidArgument(
-          "controller.num_key_classes must be >= 1");
-    }
     if (min_leg_samples < 2) {
       return Status::InvalidArgument(
           "controller.min_leg_samples must be >= 2");
@@ -202,18 +163,6 @@ struct ControllerOptions {
     if (mix_step <= 0.0 || mix_step > 1.0) {
       return Status::InvalidArgument(
           "controller.mix_step must be in (0, 1]");
-    }
-    if (hedge_quantile_step <= 0.0 || hedge_quantile_step >= 1.0) {
-      return Status::InvalidArgument(
-          "controller.hedge_quantile_step must be in (0, 1)");
-    }
-    if (freshness_window < 1) {
-      return Status::InvalidArgument(
-          "controller.freshness_window must be >= 1");
-    }
-    if (rollback_tolerance < 0.0) {
-      return Status::InvalidArgument(
-          "controller.rollback_tolerance must be >= 0");
     }
     if (cooldown_epochs < 0) {
       return Status::InvalidArgument(

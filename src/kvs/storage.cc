@@ -10,10 +10,7 @@ bool ReplicaStorage::Put(Key key, const VersionedValue& incoming) {
     return true;
   }
   if (incoming.NewerThan(it->second)) {
-    // Preserve causal metadata across supersession (commutative merge).
-    VectorClock merged = VectorClock::Merge(it->second.clock, incoming.clock);
     it->second = incoming;
-    it->second.clock = std::move(merged);
     ++writes_applied_;
     return true;
   }

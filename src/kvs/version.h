@@ -4,58 +4,8 @@
 #include <cstdint>
 #include <string>
 
-#include "util/small_vector.h"
-
 namespace pbs {
 namespace kvs {
-
-/// Relationship between two causal histories.
-enum class CausalOrder { kEqual, kBefore, kAfter, kConcurrent };
-
-/// Vector clock (Lamport/Fidge-Mattern), the causal-ordering mechanism the
-/// paper's footnote 2 cites for establishing a total ordering of versions
-/// (combined with a commutative merge). Dynamo attaches one of these to each
-/// object version.
-///
-/// Entries live in a node-id-sorted SmallVector: real clocks carry one or
-/// two writer entries (a session writes through one coordinator), so the
-/// previous std::map paid a heap node per entry on every version copy the
-/// replication fan-out made. Inline entries make VersionedValue copies
-/// allocation-free on the hot path.
-class VectorClock {
- public:
-  struct Entry {
-    int32_t node = 0;
-    int64_t count = 0;
-
-    friend bool operator==(const Entry& a, const Entry& b) {
-      return a.node == b.node && a.count == b.count;
-    }
-  };
-
-  /// Advances this clock's entry for `node_id` by one.
-  void Increment(int node_id);
-
-  /// Component count (number of nodes that ever incremented).
-  size_t size() const { return entries_.size(); }
-
-  int64_t EntryFor(int node_id) const;
-
-  /// Causal comparison: kBefore means *this happened before* `other`.
-  CausalOrder Compare(const VectorClock& other) const;
-
-  /// Pointwise maximum — the commutative merge for conflict resolution.
-  static VectorClock Merge(const VectorClock& a, const VectorClock& b);
-
-  std::string ToString() const;
-
-  bool operator==(const VectorClock& other) const {
-    return entries_ == other.entries_;
-  }
-
- private:
-  SmallVector<Entry, 2> entries_;  // sorted by node id
-};
 
 /// Last-writer-wins stamp providing the *total* order the quorum read path
 /// needs when picking "the most recent value" among replica responses:
@@ -76,13 +26,11 @@ struct VersionStamp {
 /// A replicated object version. `sequence` is the global total-order rank
 /// assigned by the writing client (1, 2, 3, ...); the staleness metrics are
 /// defined over it ("k versions stale"). `stamp` drives replica-side
-/// supersession and read-side freshest-wins; `clock` carries causal
-/// metadata for conflict detection.
+/// supersession and read-side freshest-wins.
 struct VersionedValue {
   int64_t sequence = 0;
   VersionStamp stamp;
   std::string value;
-  VectorClock clock;
 
   /// True when this version supersedes `other` under the LWW total order.
   bool NewerThan(const VersionedValue& other) const {

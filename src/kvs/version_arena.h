@@ -16,12 +16,12 @@ class VersionRef;
 
 /// Refcounted slab of VersionedValue slots — the payload store of the
 /// coordinator hot path. A write's fan-out used to copy the full
-/// VersionedValue (string + clock) into every per-leg message closure;
+/// VersionedValue into every per-leg message closure;
 /// with the arena, the payload is copied once into a pooled slot and the
 /// closures carry a 16-byte VersionRef instead. Slots recycle through a
-/// free list and keep their string/clock capacity, so steady-state
+/// free list and keep their string capacity, so steady-state
 /// Acquire/release performs no allocation (for payloads within the
-/// retained capacity; larger values grow the slot's buffers once).
+/// retained capacity; larger values grow the slot's buffer once).
 ///
 /// Lifetime rule: a slot lives exactly as long as some VersionRef points at
 /// it — the pending-op record holds one ref for the operation's lifetime
@@ -139,12 +139,11 @@ inline VersionRef VersionArena::Acquire(const VersionedValue& value) {
     slots_.emplace_back();
   }
   Slot& slot = slots_[index];
-  // Field-wise assignment reuses the retained string buffer and inline
-  // clock entries instead of reallocating.
+  // Field-wise assignment reuses the retained string buffer instead of
+  // reallocating.
   slot.value.sequence = value.sequence;
   slot.value.stamp = value.stamp;
   slot.value.value.assign(value.value);
-  slot.value.clock = value.clock;
   slot.refs = 1;
   ++live_;
   return VersionRef(this, index);

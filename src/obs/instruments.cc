@@ -76,37 +76,6 @@ void LogHistogram::Merge(const LogHistogram& other) {
   sum_ += other.sum_;
 }
 
-LogHistogram LogHistogram::DeltaSince(const LogHistogram& earlier) const {
-  LogHistogram delta;
-  if (count_ <= earlier.count_) return delta;  // empty window
-  if (earlier.count_ == 0) return *this;       // first window: exact
-  delta.buckets_.assign(kNumBuckets, 0);
-  int first = -1;
-  int last = -1;
-  for (int i = lo_; i <= hi_; ++i) {
-    const int64_t before =
-        static_cast<size_t>(i) < earlier.buckets_.size() ? earlier.buckets_[i]
-                                                         : 0;
-    const int64_t d = buckets_[i] - before;
-    if (d <= 0) continue;
-    delta.buckets_[i] = d;
-    if (first < 0) first = i;
-    last = i;
-  }
-  if (first >= 0) {
-    delta.lo_ = first;
-    delta.hi_ = last;
-  }
-  delta.count_ = count_ - earlier.count_;
-  delta.sum_ = sum_ - earlier.sum_;
-  // Bucket-bound min/max (see header). Bucket 0 holds zero/negative values,
-  // whose bounds are pinned at 0.
-  delta.min_ = first >= 0 ? BucketLow(first) : 0.0;
-  delta.max_ = last >= 0 ? BucketHigh(last) : 0.0;
-  if (delta.min_ > delta.max_) delta.min_ = delta.max_;
-  return delta;
-}
-
 double LogHistogram::OrderStatistic(int64_t i) const {
   i = std::clamp<int64_t>(i, 0, count_ - 1);
   int64_t cumulative = 0;

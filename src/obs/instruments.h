@@ -49,16 +49,6 @@ class LogHistogram {
   /// running `sum` is a floating-point accumulation.
   void Merge(const LogHistogram& other);
 
-  /// Windowed delta: this histogram minus an `earlier` cumulative snapshot
-  /// of the same series (elementwise bucket subtraction, count/sum
-  /// subtraction). The exact per-window min/max are unrecoverable from two
-  /// cumulative snapshots, so the delta approximates them by the bounds of
-  /// its first/last non-empty bucket — within one sub-bucket (~1.6%) of the
-  /// true extremes, the histogram's native resolution. Requires `earlier`
-  /// to be a prefix of this series (every earlier bucket count <= ours);
-  /// quantiles of the delta are exact at bucket resolution.
-  LogHistogram DeltaSince(const LogHistogram& earlier) const;
-
   int64_t count() const { return count_; }
   double sum() const { return sum_; }
   double min() const { return count_ == 0 ? 0.0 : min_; }
@@ -96,7 +86,7 @@ class LogHistogram {
   std::vector<int64_t> buckets_;  // sized kNumBuckets on first record
   // Non-empty bucket range [lo_, hi_] (empty when lo_ > hi_). Derived
   // state, maintained exactly by every mutation, so defaulted equality
-  // stays consistent; bounds the walks in OrderStatistic / DeltaSince /
+  // stays consistent; bounds the walks in OrderStatistic /
   // ForEachNonEmptyBucket, which matters when latency data spanning a few
   // octaves sits in a ~21-decade bucket space.
   int lo_ = kNumBuckets;

@@ -9,30 +9,6 @@
 namespace pbs {
 namespace obs {
 
-Registry RegistryDelta(const Registry& cumulative, const Registry& previous) {
-  Registry delta;
-  for (const auto& [name, counter] : cumulative.counters()) {
-    const Counter* before = previous.FindCounter(name);
-    const int64_t moved = counter.value - (before ? before->value : 0);
-    if (moved != 0) delta.counter(name).value = moved;
-  }
-  for (const auto& [name, histogram] : cumulative.histograms()) {
-    const LogHistogram* before = previous.FindHistogram(name);
-    LogHistogram moved =
-        before ? histogram.DeltaSince(*before) : histogram;
-    if (moved.count() != 0) delta.histogram(name) = std::move(moved);
-  }
-  return delta;
-}
-
-const WindowSnapshot& TimeSeries::Advance(int64_t window_id, double start_ms,
-                                          double end_ms,
-                                          const Registry& cumulative) {
-  Registry delta = RegistryDelta(cumulative, previous_);
-  previous_ = cumulative;
-  return AdvanceDelta(window_id, start_ms, end_ms, std::move(delta));
-}
-
 const WindowSnapshot& TimeSeries::AdvanceDelta(int64_t window_id,
                                                double start_ms, double end_ms,
                                                Registry delta) {

@@ -27,37 +27,23 @@ struct WindowSnapshot {
       default;
 };
 
-/// Counter/histogram delta of `cumulative` against an earlier `previous`
-/// snapshot of the same registry: counters subtract; histograms go through
-/// LogHistogram::DeltaSince (bucket-exact, min/max at bucket bounds).
-/// Instruments absent from `previous` carry over whole; instruments that
-/// did not move in the window are dropped, so quiet windows stay small.
-Registry RegistryDelta(const Registry& cumulative, const Registry& previous);
-
-/// A ring buffer of WindowSnapshots over one cumulative Registry. The
-/// owner calls Advance once per window tick (simulator-clock driven, via
-/// the timer wheel) with the current cumulative registry; the time series
-/// retains the newest `capacity` windows and drops the oldest beyond that
-/// (allocation pattern independent of run length). Not thread-safe, like
-/// Registry: one series per single-threaded cluster, merged afterwards.
+/// A ring buffer of WindowSnapshots. The owner calls AdvanceDelta once per
+/// window tick (simulator-clock driven, via the timer wheel) with the
+/// window's delta; the time series retains the newest `capacity` windows
+/// and drops the oldest beyond that (allocation pattern independent of run
+/// length). Not thread-safe, like Registry: one series per single-threaded
+/// cluster, merged afterwards.
 class TimeSeries {
  public:
   explicit TimeSeries(size_t capacity = 256)
       : capacity_(capacity == 0 ? 1 : capacity) {}
 
-  /// Cuts window `window_id` spanning [start_ms, end_ms) as the delta of
-  /// `cumulative` against the previous Advance call, retains `cumulative`
-  /// as the new baseline, and returns the appended snapshot. Window ids
-  /// must be strictly increasing.
-  const WindowSnapshot& Advance(int64_t window_id, double start_ms,
-                                double end_ms, const Registry& cumulative);
-
-  /// Cuts window `window_id` from a pre-computed `delta` — the hot-path
-  /// entry for producers that can difference incrementally (the kvs
-  /// telemetry tick diffs flat counter snapshots and records window
-  /// latency samples directly, skipping the O(cumulative) registry walk
-  /// Advance pays). Does not touch the Advance baseline; a producer uses
-  /// one entry point or the other, not both.
+  /// Cuts window `window_id` spanning [start_ms, end_ms) from `delta`,
+  /// which the producer differences incrementally (the kvs telemetry tick
+  /// diffs flat counter snapshots and records window latency samples
+  /// directly; instruments that did not move are left out, so quiet
+  /// windows stay small). Returns the appended snapshot. Window ids must
+  /// be strictly increasing.
   const WindowSnapshot& AdvanceDelta(int64_t window_id, double start_ms,
                                      double end_ms, Registry delta);
 
@@ -79,7 +65,6 @@ class TimeSeries {
 
  private:
   size_t capacity_;
-  Registry previous_;
   std::deque<WindowSnapshot> windows_;
   int64_t cut_ = 0;
   int64_t dropped_ = 0;

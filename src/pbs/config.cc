@@ -1,7 +1,10 @@
 #include "pbs/config.h"
 
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <map>
+#include <sstream>
 
 namespace pbs {
 
@@ -28,8 +31,24 @@ Status WorkloadOptions::Validate() const {
 Status ParseFaultSpec(const std::string& spec, double horizon_ms,
                       kvs::FaultSchedule* schedule,
                       int default_gray_replicas) {
+  // The keys each kind reads. Every kind but gray also reads start= and
+  // end=; gray draws its faults over the whole run.
+  static const std::map<std::string, std::string> kKeys = {
+      {"slow", "node|factor|add|start|end"},
+      {"lossy", "src|dst|g2b|b2g|loss|loss-good|start|end"},
+      {"dup", "src|dst|p|start|end"},
+      {"flap", "node|up|down|start|end"},
+      {"oneway", "src|dst|start|end"},
+      {"gray", "replicas|interarrival|duration|seed"},
+  };
   const size_t colon = spec.find(':');
   const std::string kind = spec.substr(0, colon);
+  const auto keys = kKeys.find(kind);
+  if (keys == kKeys.end()) {
+    return Status::InvalidArgument(
+        "unknown fault kind '" + kind +
+        "' (expected slow|lossy|dup|flap|oneway|gray)");
+  }
   std::map<std::string, double> kv;
   if (colon != std::string::npos) {
     const std::string rest = spec.substr(colon + 1);
@@ -43,7 +62,22 @@ Status ParseFaultSpec(const std::string& spec, double horizon_ms,
         return Status::InvalidArgument("bad fault parameter '" + item +
                                        "' in spec '" + spec + "'");
       }
-      kv[item.substr(0, eq)] = std::atof(item.c_str() + eq + 1);
+      const std::string key = item.substr(0, eq);
+      if (("|" + keys->second + "|").find("|" + key + "|") ==
+          std::string::npos) {
+        return Status::InvalidArgument(
+            "fault kind '" + kind + "' reads no parameter '" + key +
+            "' in spec '" + spec + "' (expected " + keys->second + ")");
+      }
+      const char* text = item.c_str() + eq + 1;
+      char* parsed_end = nullptr;
+      const double value = std::strtod(text, &parsed_end);
+      if (*text == '\0' || *parsed_end != '\0' || !std::isfinite(value)) {
+        return Status::InvalidArgument("fault parameter '" + item +
+                                       "' in spec '" + spec +
+                                       "' is not a finite number");
+      }
+      kv[key] = value;
       pos = comma + 1;
     }
   }
@@ -51,8 +85,46 @@ Status ParseFaultSpec(const std::string& spec, double horizon_ms,
     const auto it = kv.find(key);
     return it == kv.end() ? fallback : it->second;
   };
+  const auto whole = [](double value, double limit) {
+    return value >= 0.0 && value == std::floor(value) && value <= limit;
+  };
+  const auto invalid = [&spec](const std::string& why) {
+    return Status::InvalidArgument("fault spec '" + spec + "': " + why);
+  };
+  for (const char* key : {"node", "src", "dst", "replicas"}) {
+    if (!whole(get(key, 0.0), std::numeric_limits<NodeId>::max())) {
+      return invalid(std::string(key) + " must be a non-negative integer");
+    }
+  }
+  // The largest double below 2^64, so the seed fits a uint64_t.
+  if (!whole(get("seed", 0.0), 18446744073709549568.0)) {
+    return invalid("seed must be a non-negative integer");
+  }
   const double start = get("start", 0.0);
   const double end = get("end", horizon_ms);
+  // A dry run does not know the run's end, so only an explicit end= counts.
+  if ((schedule != nullptr || kv.count("end") != 0) && !(end > start)) {
+    std::ostringstream why;
+    why << "must end after it starts (start=" << start << ", end=" << end
+        << (kv.count("end") != 0 ? "" : ", the run's end") << ")";
+    return invalid(why.str());
+  }
+  if (kind == "slow" &&
+      !(get("factor", 10.0) >= 1.0 || get("add", 0.0) > 0.0)) {
+    return invalid("needs factor >= 1 or add > 0");
+  }
+  if (kind == "flap" && !(get("up", 300.0) > 0.0 && get("down", 200.0) > 0.0)) {
+    return invalid("needs up > 0 and down > 0");
+  }
+  const double replicas =
+      get("replicas", static_cast<double>(default_gray_replicas));
+  if (kind == "gray" && replicas < 2.0) return invalid("needs replicas >= 2");
+  if (kind == "gray" &&
+      !(get("interarrival", 4000.0) > 0.0 && get("duration", 1500.0) > 0.0)) {
+    return invalid("needs interarrival > 0 and duration > 0");
+  }
+  if (schedule == nullptr) return Status::Ok();
+
   if (kind == "slow") {
     schedule->AddSlowNode(start, end, static_cast<NodeId>(get("node", 0)),
                           get("factor", 10.0), get("add", 0.0));
@@ -73,19 +145,13 @@ Status ParseFaultSpec(const std::string& spec, double horizon_ms,
     schedule->AddAsymmetricPartition(start, end,
                                      static_cast<NodeId>(get("src", 0)),
                                      static_cast<NodeId>(get("dst", 0)));
-  } else if (kind == "gray") {
+  } else {
     const kvs::FaultSchedule random = kvs::FaultSchedule::RandomGrayFailures(
-        static_cast<int>(
-            get("replicas", static_cast<double>(default_gray_replicas))),
-        horizon_ms, get("interarrival", 4000.0), get("duration", 1500.0),
-        static_cast<uint64_t>(get("seed", 7.0)));
+        static_cast<int>(replicas), horizon_ms, get("interarrival", 4000.0),
+        get("duration", 1500.0), static_cast<uint64_t>(get("seed", 7.0)));
     for (const kvs::Fault& fault : random.faults()) {
       schedule->Add(fault);
     }
-  } else {
-    return Status::InvalidArgument(
-        "unknown fault kind '" + kind +
-        "' (expected slow|lossy|dup|flap|oneway|gray)");
   }
   return Status::Ok();
 }
@@ -111,9 +177,7 @@ Status ParseFaultSpecs(const std::string& specs, double horizon_ms,
 }  // namespace
 
 Status FaultOptions::Validate() const {
-  if (!any()) return Status::Ok();
-  kvs::FaultSchedule throwaway;
-  return ParseFaultSpecs(specs, /*horizon_ms=*/1.0, &throwaway,
+  return ParseFaultSpecs(specs, /*horizon_ms=*/0.0, /*schedule=*/nullptr,
                          /*default_gray_replicas=*/3);
 }
 

@@ -60,13 +60,19 @@ struct WorkloadOptions {
 ///   flap:node=2,up=300,down=200        crash/recover cycling
 ///   oneway:src=0,dst=4                 one-way partition (src->dst)
 ///   gray:seed=7[,interarrival=4000,duration=1500]  seeded random mix
-/// Every spec accepts start= / end= (ms; defaults: the whole run).
+/// Every spec but gray accepts start= / end= (ms; defaults: the whole run);
+/// gray draws its faults over the whole run. A key the kind does not read,
+/// a value that is not a finite number, a node id that is not a
+/// non-negative integer, or a fault no kind can run (end <= start, a slow
+/// factor below 1 with no add, a flap or gray period <= 0, fewer than 2
+/// gray replicas) is an InvalidArgument.
 struct FaultOptions {
   std::string specs;
 
   bool any() const { return !specs.empty(); }
 
-  /// Dry-run parse of every spec (against a throwaway schedule).
+  /// Dry-run check of every spec. The run's end is unknown here, so a
+  /// defaulted end= is checked against start= only by Build.
   Status Validate() const;
 
   /// Builds the fault schedule for a run draining at `horizon_ms`.
@@ -100,7 +106,9 @@ struct ClusterOptions {
   }
 };
 
-/// Parses one `kind:key=val,...` fault spec into `schedule`.
+/// Parses one `kind:key=val,...` fault spec (rules at FaultOptions) into
+/// `schedule`, with end= defaulting to `horizon_ms`. A null `schedule` is a
+/// dry run: the spec is only checked, and a defaulted end= is not.
 Status ParseFaultSpec(const std::string& spec, double horizon_ms,
                       kvs::FaultSchedule* schedule,
                       int default_gray_replicas = 3);
@@ -183,14 +191,6 @@ struct Config {
     workload.write_spacing_ms = spacing_ms;
     return *this;
   }
-  Config& WithHedge(const HedgeOptions& options) {
-    hedge = options;
-    return *this;
-  }
-  Config& WithRetry(const RetryOptions& options) {
-    retry = options;
-    return *this;
-  }
   Config& WithFaults(std::string fault_specs) {
     faults.specs = std::move(fault_specs);
     return *this;
@@ -199,25 +199,13 @@ struct Config {
     obs.trace_enabled = enabled;
     return *this;
   }
-  Config& WithObs(const ObsOptions& options) {
-    obs = options;
-    return *this;
-  }
   Config& WithCluster(int num_nodes, int vnodes = 16) {
     cluster.num_nodes = num_nodes;
     cluster.vnodes = vnodes;
     return *this;
   }
-  Config& WithRebalance(const RebalanceOptions& options) {
-    cluster.rebalance = options;
-    return *this;
-  }
   Config& WithSla(const SlaTarget& target) {
     sla = target;
-    return *this;
-  }
-  Config& WithController(const ControllerOptions& options) {
-    controller = options;
     return *this;
   }
   /// Engine behind the controller's per-epoch quorum predictor

@@ -169,19 +169,22 @@ TEST(WanModelTest, RemoteLegsCarryTheDelay) {
   const auto base = Deterministic(1.0, 1.0, 1.0, 1.0);
   const auto model = MakeWanModel(base, 3, 75.0);
   Rng rng(11);
-  std::vector<ReplicaLegSample> legs;
+  const int n = 3;
+  ASSERT_EQ(model->num_replicas(), n);
+  std::vector<double> legs(4 * n);  // leg-major: w | a | r | s
   for (int trial = 0; trial < 500; ++trial) {
-    model->SampleTrial(rng, &legs);
-    ASSERT_EQ(legs.size(), 3u);
+    model->SampleTrialSoA(rng, legs.data());
     int local_writes = 0;
     int local_reads = 0;
-    for (const auto& leg : legs) {
-      EXPECT_TRUE(leg.w == 1.0 || leg.w == 76.0);
-      EXPECT_TRUE(leg.r == 1.0 || leg.r == 76.0);
-      EXPECT_EQ(leg.w, leg.a);  // same locality for both write legs
-      EXPECT_EQ(leg.r, leg.s);
-      if (leg.w == 1.0) ++local_writes;
-      if (leg.r == 1.0) ++local_reads;
+    for (int i = 0; i < n; ++i) {
+      const double w = legs[i];
+      const double r = legs[2 * n + i];
+      EXPECT_TRUE(w == 1.0 || w == 76.0);
+      EXPECT_TRUE(r == 1.0 || r == 76.0);
+      EXPECT_EQ(w, legs[n + i]);  // same locality for both write legs
+      EXPECT_EQ(r, legs[3 * n + i]);
+      if (w == 1.0) ++local_writes;
+      if (r == 1.0) ++local_reads;
     }
     EXPECT_EQ(local_writes, 1);
     EXPECT_EQ(local_reads, 1);
@@ -192,16 +195,17 @@ TEST(WanModelTest, ReadAndWriteLocalityAreIndependent) {
   const auto base = Deterministic(1.0, 1.0, 1.0, 1.0);
   const auto model = MakeWanModel(base, 3, 75.0);
   Rng rng(12);
-  std::vector<ReplicaLegSample> legs;
+  const int n = 3;
+  std::vector<double> legs(4 * n);  // leg-major: w | a | r | s
   int same_locality = 0;
   const int trials = 30000;
   for (int trial = 0; trial < trials; ++trial) {
-    model->SampleTrial(rng, &legs);
+    model->SampleTrialSoA(rng, legs.data());
     int write_local = -1;
     int read_local = -1;
-    for (int i = 0; i < 3; ++i) {
-      if (legs[i].w == 1.0) write_local = i;
-      if (legs[i].r == 1.0) read_local = i;
+    for (int i = 0; i < n; ++i) {
+      if (legs[i] == 1.0) write_local = i;
+      if (legs[2 * n + i] == 1.0) read_local = i;
     }
     if (write_local == read_local) ++same_locality;
   }

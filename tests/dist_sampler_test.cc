@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 #include <vector>
@@ -9,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "dist/distribution.h"
+#include "dist/empirical.h"
 #include "dist/mixture.h"
 #include "dist/primitives.h"
 #include "dist/production.h"
@@ -65,8 +68,29 @@ TEST(SamplerEquivalenceTest, VirtualPathMatchesCdf) {
   }
 }
 
+// The leg shapes CompiledSampler cannot compile, so SamplerPlan samples
+// them through the virtual Distribution::SampleBatch fallback: fitted
+// empirical legs, affine wrappers around them, and mixtures with a
+// non-invertible component. 2000 distinct support points keep each ECDF
+// atom (0.0005) well under the KS threshold below.
+std::vector<std::pair<std::string, DistributionPtr>> FallbackCases() {
+  std::vector<double> support(2000);
+  const auto shape = Exponential(0.5);
+  for (size_t i = 0; i < support.size(); ++i) {
+    support[i] = shape->Quantile((static_cast<double>(i) + 0.5) / 2000.0);
+  }
+  const auto empirical = Empirical(support);
+  return {
+      {"empirical", empirical},
+      {"shifted_empirical", Shifted(empirical, 1.5)},
+      {"scaled_empirical", Scaled(empirical, 2.0)},
+      {"mixture_with_empirical",
+       Mixture({{0.7, Exponential(1.0)}, {0.3, empirical}})},
+  };
+}
+
 TEST(SamplerEquivalenceTest, BatchPathMatchesCdf) {
-  for (const auto& [name, dist] : EquivalenceCases()) {
+  for (const auto& [name, dist] : FallbackCases()) {
     Rng rng(102);
     std::vector<double> samples(kKsSamples);
     dist->SampleBatch(rng, samples);
@@ -169,6 +193,41 @@ TEST(SamplerPlanTest, LegsMatchTheirDistributions) {
   }
   EXPECT_LT(KsStatistic(std::move(w_leg), *wars.w), kKsThreshold);
   EXPECT_LT(KsStatistic(std::move(r_leg), *wars.r), kKsThreshold);
+}
+
+// Bitwise pin of the fallback draws: FNV-1a over the IEEE bits of 512
+// trials x 4 legs x 3 replicas of SamplerPlan::SampleLegs per case.
+TEST(SamplerPlanTest, FallbackLegDrawsArePinned) {
+  const std::pair<const char*, uint64_t> kPins[] = {
+      {"empirical", 0x30467ffb12ef0b2bULL},
+      {"shifted_empirical", 0xec50848008ed6b08ULL},
+      {"scaled_empirical", 0x9f083d54a5badee7ULL},
+      {"mixture_with_empirical", 0x2a2106e4f231881bULL},
+  };
+  const auto cases = FallbackCases();
+  ASSERT_EQ(cases.size(), std::size(kPins));
+  for (size_t c = 0; c < cases.size(); ++c) {
+    const auto& [name, dist] = cases[c];
+    ASSERT_EQ(name, kPins[c].first);
+    SamplerPlan plan(MakeWars(name, dist, dist));
+    EXPECT_FALSE(plan.fully_compiled()) << plan.Describe();
+    const int n = 3;
+    std::vector<double> legs(4 * n);
+    Rng rng(109);
+    uint64_t hash = 0xcbf29ce484222325ULL;
+    for (int t = 0; t < 512; ++t) {
+      plan.SampleLegs(rng, n, legs.data());
+      for (const double x : legs) {
+        uint64_t bits;
+        std::memcpy(&bits, &x, sizeof(bits));
+        for (int b = 0; b < 8; ++b) {
+          hash = (hash ^ ((bits >> (8 * b)) & 0xff)) * 0x100000001b3ULL;
+        }
+      }
+    }
+    EXPECT_EQ(hash, kPins[c].second)
+        << name << ": 0x" << std::hex << hash;
+  }
 }
 
 // Fast-math kernels: documented error bounds, checked against libm.

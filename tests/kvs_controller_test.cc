@@ -213,19 +213,19 @@ TEST(ClusterKnobTest, FreshnessLedgerClassifiesAgainstTheBound) {
   // returns version 1 is within the bound (the newer commit is only 5ms
   // old); a read started at t=150 returning version 1 is stale.
   cluster.RecordCommit(5, /*sequence=*/2, /*commit_time=*/100.0);
+  const ClusterMetrics& metrics = cluster.metrics();
   cluster.RecordReadOutcome(5, /*returned_sequence=*/1,
                             /*read_start_time=*/105.0);
-  EXPECT_EQ(cluster.FreshReads(0), 1);
-  EXPECT_EQ(cluster.StaleReads(0), 0);
+  EXPECT_EQ(metrics.reads_fresh_measured, 1);
+  EXPECT_EQ(metrics.reads_stale_measured, 0);
   cluster.RecordReadOutcome(5, /*returned_sequence=*/1,
                             /*read_start_time=*/150.0);
-  EXPECT_EQ(cluster.StaleReads(0), 1);
+  EXPECT_EQ(metrics.reads_stale_measured, 1);
   // Reading the committed (or newer) version is always fresh.
   cluster.RecordReadOutcome(5, /*returned_sequence=*/2,
                             /*read_start_time=*/150.0);
-  EXPECT_EQ(cluster.FreshReads(0), 2);
-  EXPECT_EQ(cluster.metrics().reads_fresh_measured, 2);
-  EXPECT_EQ(cluster.metrics().reads_stale_measured, 1);
+  EXPECT_EQ(metrics.reads_fresh_measured, 2);
+  EXPECT_EQ(metrics.reads_stale_measured, 1);
 }
 
 // ------------------------------------------------------- controller end-to-end

@@ -1,3 +1,6 @@
+// ClientSession::MultiRead: per-key results aligned with the request, the
+// empty-list edge, and the Section 6 product rule observed end to end.
+
 #include <memory>
 #include <optional>
 #include <string>
@@ -8,107 +11,10 @@
 #include "dist/primitives.h"
 #include "kvs/client.h"
 #include "kvs/cluster.h"
-#include "kvs/siblings.h"
 
 namespace pbs {
 namespace kvs {
 namespace {
-
-VersionedValue Versioned(const std::string& value, int32_t writer,
-                         double timestamp,
-                         const std::vector<int>& clock_entries) {
-  VersionedValue v;
-  v.value = value;
-  v.stamp = {timestamp, writer};
-  for (int node : clock_entries) v.clock.Increment(node);
-  return v;
-}
-
-TEST(SiblingSetTest, LinearHistoryKeepsOnlyNewest) {
-  SiblingSet set;
-  EXPECT_TRUE(set.Add(Versioned("v1", 1, 1.0, {1})));
-  EXPECT_TRUE(set.Add(Versioned("v2", 1, 2.0, {1, 1})));
-  EXPECT_EQ(set.versions().size(), 1u);
-  EXPECT_EQ(set.versions()[0].value, "v2");
-  EXPECT_FALSE(set.HasConflict());
-}
-
-TEST(SiblingSetTest, DominatedIncomingRejected) {
-  SiblingSet set;
-  set.Add(Versioned("v2", 1, 2.0, {1, 1}));
-  EXPECT_FALSE(set.Add(Versioned("v1", 1, 1.0, {1})));
-  EXPECT_EQ(set.versions().size(), 1u);
-  // Re-adding the identical clock is also a no-op.
-  EXPECT_FALSE(set.Add(Versioned("v2", 1, 2.0, {1, 1})));
-}
-
-TEST(SiblingSetTest, ConcurrentWritesBecomeSiblings) {
-  SiblingSet set;
-  set.Add(Versioned("alice", 1, 1.0, {1}));
-  EXPECT_TRUE(set.Add(Versioned("bob", 2, 1.5, {2})));
-  EXPECT_TRUE(set.HasConflict());
-  EXPECT_EQ(set.versions().size(), 2u);
-}
-
-TEST(SiblingSetTest, ReconciliationDominatesAllSiblings) {
-  SiblingSet set;
-  set.Add(Versioned("alice", 1, 1.0, {1}));
-  set.Add(Versioned("bob", 2, 1.5, {2}));
-  const VersionedValue merged = set.Reconcile(/*writer=*/3, /*timestamp=*/2.0);
-  for (const VersionedValue& sibling : set.versions()) {
-    EXPECT_EQ(sibling.clock.Compare(merged.clock), CausalOrder::kBefore);
-  }
-  // LWW payload among siblings: bob's (newer stamp).
-  EXPECT_EQ(merged.value, "bob");
-  // Writing the reconciliation back collapses the conflict.
-  SiblingSet after;
-  after.MergeFrom(set);
-  EXPECT_TRUE(after.Add(merged));
-  EXPECT_FALSE(after.HasConflict());
-  EXPECT_EQ(after.versions()[0].value, "bob");
-}
-
-TEST(SiblingSetTest, MergeFromIsIdempotentAndCommutative) {
-  SiblingSet a;
-  a.Add(Versioned("x", 1, 1.0, {1}));
-  SiblingSet b;
-  b.Add(Versioned("y", 2, 2.0, {2}));
-  SiblingSet ab = a;
-  ab.MergeFrom(b);
-  SiblingSet ba = b;
-  ba.MergeFrom(a);
-  EXPECT_EQ(ab.versions().size(), 2u);
-  EXPECT_EQ(ba.versions().size(), 2u);
-  EXPECT_FALSE(ab.MergeFrom(b));  // idempotent
-}
-
-TEST(SiblingSetTest, ThreeWayConcurrencyPrunedByOneDominator) {
-  SiblingSet set;
-  set.Add(Versioned("a", 1, 1.0, {1}));
-  set.Add(Versioned("b", 2, 1.0, {2}));
-  set.Add(Versioned("c", 3, 1.0, {3}));
-  EXPECT_EQ(set.versions().size(), 3u);
-  // A version that saw a and b (but not c) prunes exactly those two.
-  VersionedValue ab = Versioned("ab", 1, 2.0, {1, 2});
-  ab.clock.Increment(1);
-  EXPECT_TRUE(set.Add(ab));
-  EXPECT_EQ(set.versions().size(), 2u);  // {ab, c}
-}
-
-TEST(SiblingStorageTest, TracksConflictedKeys) {
-  SiblingStorage storage;
-  storage.Put(1, Versioned("a", 1, 1.0, {1}));
-  storage.Put(1, Versioned("b", 2, 1.0, {2}));
-  storage.Put(2, Versioned("x", 1, 1.0, {1}));
-  EXPECT_EQ(storage.num_keys(), 2u);
-  EXPECT_EQ(storage.num_conflicted_keys(), 1);
-  ASSERT_NE(storage.Get(1), nullptr);
-  EXPECT_TRUE(storage.Get(1)->HasConflict());
-  EXPECT_EQ(storage.Get(99), nullptr);
-}
-
-// ---------------------------------------------------------------------------
-// Multi-key reads
 
 WarsDistributions PointMassLegs() {
   WarsDistributions legs;

@@ -185,7 +185,7 @@ TEST(MessageLossTest, LossyNetworkDegradesIntoTimeoutsNotCorruption) {
   int ok_count = 0;
   int fail_count = 0;
   for (int i = 0; i < 200; ++i) {
-    cluster.sim().At(i * 200.0, [&]() {
+    cluster.sim().At(i * 200.0, [&, i]() {
       client.Write(i, "v", [&](const WriteResult& r) {
         r.ok ? ++ok_count : ++fail_count;
       });

@@ -119,21 +119,6 @@ TEST(StorageTest, OlderVersionIgnoredRegardlessOfArrivalOrder) {
   EXPECT_EQ(in_order.Get(1)->sequence, reversed.Get(1)->sequence);
 }
 
-TEST(StorageTest, SupersessionMergesVectorClocks) {
-  ReplicaStorage storage;
-  VersionedValue v1;
-  v1.stamp = {1.0, 0};
-  v1.clock.Increment(1);
-  VersionedValue v2;
-  v2.stamp = {2.0, 0};
-  v2.clock.Increment(2);
-  storage.Put(1, v1);
-  storage.Put(1, v2);
-  const auto got = storage.Get(1);
-  EXPECT_EQ(got->clock.EntryFor(1), 1);
-  EXPECT_EQ(got->clock.EntryFor(2), 1);
-}
-
 TEST(StorageTest, ForEachVisitsEverything) {
   ReplicaStorage storage;
   for (Key key = 0; key < 10; ++key) {

@@ -6,77 +6,6 @@ namespace pbs {
 namespace kvs {
 namespace {
 
-TEST(VectorClockTest, FreshClocksAreEqual) {
-  VectorClock a;
-  VectorClock b;
-  EXPECT_EQ(a.Compare(b), CausalOrder::kEqual);
-  EXPECT_TRUE(a == b);
-}
-
-TEST(VectorClockTest, IncrementCreatesHappensBefore) {
-  VectorClock a;
-  VectorClock b;
-  b.Increment(1);
-  EXPECT_EQ(a.Compare(b), CausalOrder::kBefore);
-  EXPECT_EQ(b.Compare(a), CausalOrder::kAfter);
-}
-
-TEST(VectorClockTest, ConcurrentUpdatesDetected) {
-  VectorClock a;
-  VectorClock b;
-  a.Increment(1);
-  b.Increment(2);
-  EXPECT_EQ(a.Compare(b), CausalOrder::kConcurrent);
-  EXPECT_EQ(b.Compare(a), CausalOrder::kConcurrent);
-}
-
-TEST(VectorClockTest, ChainedHistoryOrdersCorrectly) {
-  VectorClock a;
-  a.Increment(1);
-  VectorClock b = a;
-  b.Increment(2);
-  b.Increment(1);
-  EXPECT_EQ(a.Compare(b), CausalOrder::kBefore);
-  EXPECT_EQ(b.Compare(b), CausalOrder::kEqual);
-}
-
-TEST(VectorClockTest, MergeIsPointwiseMaxAndCommutative) {
-  VectorClock a;
-  a.Increment(1);
-  a.Increment(1);
-  VectorClock b;
-  b.Increment(2);
-  const VectorClock m1 = VectorClock::Merge(a, b);
-  const VectorClock m2 = VectorClock::Merge(b, a);
-  EXPECT_TRUE(m1 == m2);
-  EXPECT_EQ(m1.EntryFor(1), 2);
-  EXPECT_EQ(m1.EntryFor(2), 1);
-  // The merge dominates both inputs.
-  EXPECT_EQ(a.Compare(m1), CausalOrder::kBefore);
-  EXPECT_EQ(b.Compare(m1), CausalOrder::kBefore);
-}
-
-TEST(VectorClockTest, MergeIdempotent) {
-  VectorClock a;
-  a.Increment(3);
-  EXPECT_TRUE(VectorClock::Merge(a, a) == a);
-}
-
-TEST(VectorClockTest, EntryForMissingNodeIsZero) {
-  VectorClock a;
-  EXPECT_EQ(a.EntryFor(42), 0);
-  a.Increment(42);
-  EXPECT_EQ(a.EntryFor(42), 1);
-  EXPECT_EQ(a.size(), 1u);
-}
-
-TEST(VectorClockTest, ToStringListsEntries) {
-  VectorClock a;
-  a.Increment(1);
-  a.Increment(2);
-  EXPECT_EQ(a.ToString(), "{1:1, 2:1}");
-}
-
 TEST(VersionStampTest, TotalOrderByTimestampThenWriter) {
   const VersionStamp early{1.0, 5};
   const VersionStamp late{2.0, 1};

@@ -1,8 +1,9 @@
-// Windowed time-series layer (DESIGN.md §13): registry deltas, the
-// Advance/AdvanceDelta ring, rollover accounting, window-id-aligned
-// merges, and the golden bytes of the JSONL exporter.
+// Windowed time-series layer (DESIGN.md §13): the AdvanceDelta ring,
+// rollover accounting, window-id-aligned merges, and the golden bytes of
+// the JSONL exporter.
 
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -12,86 +13,6 @@
 namespace pbs {
 namespace obs {
 namespace {
-
-TEST(RegistryDeltaTest, SubtractsCountersAndDropsUnmoved) {
-  Registry previous;
-  previous.counter("moved").Add(3);
-  previous.counter("quiet").Add(5);
-  Registry cumulative = previous;
-  cumulative.counter("moved").Add(4);
-
-  const Registry delta = RegistryDelta(cumulative, previous);
-  ASSERT_NE(delta.FindCounter("moved"), nullptr);
-  EXPECT_EQ(delta.FindCounter("moved")->value, 4);
-  // "quiet" did not move in the window, so it is dropped entirely.
-  EXPECT_EQ(delta.FindCounter("quiet"), nullptr);
-}
-
-TEST(RegistryDeltaTest, NewInstrumentsCarryOverWhole) {
-  Registry previous;
-  Registry cumulative;
-  cumulative.counter("ops").Add(2);
-  cumulative.histogram("lat").Record(2.0);
-
-  const Registry delta = RegistryDelta(cumulative, previous);
-  ASSERT_NE(delta.FindCounter("ops"), nullptr);
-  EXPECT_EQ(delta.FindCounter("ops")->value, 2);
-  ASSERT_NE(delta.FindHistogram("lat"), nullptr);
-  EXPECT_EQ(delta.FindHistogram("lat")->count(), 1);
-  EXPECT_DOUBLE_EQ(delta.FindHistogram("lat")->min(), 2.0);
-}
-
-TEST(RegistryDeltaTest, HistogramDeltaIsBucketExact) {
-  Registry previous;
-  previous.histogram("lat").Record(1.0);
-  previous.histogram("lat").Record(4.0);
-  Registry cumulative = previous;
-  cumulative.histogram("lat").Record(16.0);
-  cumulative.histogram("lat").Record(16.0);
-
-  const Registry delta = RegistryDelta(cumulative, previous);
-  const LogHistogram* hist = delta.FindHistogram("lat");
-  ASSERT_NE(hist, nullptr);
-  EXPECT_EQ(hist->count(), 2);
-  // Both window samples landed in the bucket containing 16; the delta's
-  // extremes are that bucket's bounds.
-  EXPECT_LE(hist->min(), 16.0);
-  EXPECT_GE(hist->max(), 16.0);
-}
-
-TEST(TimeSeriesTest, AdvanceCutsDeltasAgainstPreviousBaseline) {
-  TimeSeries series(8);
-  Registry cumulative;
-  cumulative.counter("ops").Add(2);
-  series.Advance(0, 0.0, 500.0, cumulative);
-  cumulative.counter("ops").Add(3);
-  const WindowSnapshot& second = series.Advance(1, 500.0, 1000.0, cumulative);
-
-  EXPECT_EQ(second.window_id, 1);
-  ASSERT_NE(second.delta.FindCounter("ops"), nullptr);
-  EXPECT_EQ(second.delta.FindCounter("ops")->value, 3);
-  ASSERT_EQ(series.windows().size(), 2u);
-  EXPECT_EQ(series.windows().front().delta.FindCounter("ops")->value, 2);
-}
-
-TEST(TimeSeriesTest, AdvanceDeltaMatchesAdvanceForTheSameStream) {
-  Registry c1;
-  c1.counter("ops").Add(2);
-  Registry c2 = c1;
-  c2.counter("ops").Add(3);
-  c2.histogram("lat").Record(2.0);
-
-  TimeSeries via_advance(8);
-  via_advance.Advance(0, 0.0, 500.0, c1);
-  via_advance.Advance(1, 500.0, 1000.0, c2);
-
-  TimeSeries via_delta(8);
-  via_delta.AdvanceDelta(0, 0.0, 500.0, RegistryDelta(c1, Registry{}));
-  via_delta.AdvanceDelta(1, 500.0, 1000.0, RegistryDelta(c2, c1));
-
-  EXPECT_EQ(via_advance.windows(), via_delta.windows());
-  EXPECT_EQ(via_advance.windows_cut(), via_delta.windows_cut());
-}
 
 TEST(TimeSeriesTest, RolloverDropsOldestAndCounts) {
   TimeSeries series(2);
@@ -165,12 +86,13 @@ TEST(TimeSeriesTest, MergeKeepsLargerCapacityAndReappliesRollover) {
 
 TEST(TimeSeriesJsonlTest, GoldenBytes) {
   TimeSeries series(8);
-  Registry cumulative;
-  cumulative.counter("ops").Add(2);
-  series.Advance(0, 0.0, 500.0, cumulative);
-  cumulative.counter("ops").Add(3);
-  cumulative.histogram("lat").Record(2.0);
-  series.Advance(1, 500.0, 1000.0, cumulative);
+  Registry first;
+  first.counter("ops").Add(2);
+  series.AdvanceDelta(0, 0.0, 500.0, std::move(first));
+  Registry second;
+  second.counter("ops").Add(3);
+  second.histogram("lat").Record(2.0);
+  series.AdvanceDelta(1, 500.0, 1000.0, std::move(second));
 
   // A single-sample histogram clamps every quantile to the one value; the
   // exact bytes below are the format contract for offline consumers

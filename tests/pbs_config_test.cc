@@ -94,6 +94,119 @@ TEST(ParseFaultSpecTest, RejectsUnknownKindAndMalformedParams) {
             std::string::npos);
 }
 
+// Rejects `spec` at parse time with a message naming `needle`.
+void ExpectRejected(const std::string& spec, const std::string& needle) {
+  kvs::FaultSchedule schedule;
+  const Status status = ParseFaultSpec(spec, 1000.0, &schedule);
+  ASSERT_FALSE(status.ok()) << spec;
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << spec;
+  EXPECT_NE(status.message().find(needle), std::string::npos)
+      << spec << ": " << status.message();
+  EXPECT_TRUE(schedule.faults().empty()) << spec;
+  FaultOptions faults;
+  faults.specs = spec;
+  EXPECT_FALSE(faults.Validate().ok()) << spec;
+}
+
+TEST(ParseFaultSpecTest, RejectsValuesThatAreNotFiniteNumbers) {
+  // atof read these as node=0,factor=0: a "slow" fault with zero delay.
+  ExpectRejected("slow:node=two,factor=ten", "not a finite number");
+  ExpectRejected("slow:node=2,factor=10x", "not a finite number");
+  ExpectRejected("slow:node=2,factor=", "not a finite number");
+  ExpectRejected("slow:node=2,factor=inf", "not a finite number");
+  ExpectRejected("lossy:src=0,dst=1,loss=nan", "not a finite number");
+}
+
+TEST(ParseFaultSpecTest, RejectsKeysTheKindDoesNotRead) {
+  // Misspelt keys used to fall back to the defaults (node 0, factor 10).
+  ExpectRejected("slow:nod=2,factr=10", "reads no parameter 'nod'");
+  ExpectRejected("oneway:src=0,dst=1,loss=0.5", "reads no parameter 'loss'");
+  // gray draws its faults over the whole run, so start=/end= are not read.
+  ExpectRejected("gray:seed=7,start=100", "reads no parameter 'start'");
+}
+
+TEST(ParseFaultSpecTest, RejectsNodeIdsThatAreNotNonNegativeIntegers) {
+  ExpectRejected("slow:node=-1", "node must be a non-negative integer");
+  ExpectRejected("flap:node=1.5", "node must be a non-negative integer");
+  ExpectRejected("lossy:src=0.5,dst=1", "src must be a non-negative integer");
+  ExpectRejected("oneway:src=0,dst=-2", "dst must be a non-negative integer");
+  ExpectRejected("dup:src=0,dst=1e12", "dst must be a non-negative integer");
+}
+
+TEST(ParseFaultSpecTest, RejectsFaultsThatEndBeforeTheyStart) {
+  ExpectRejected("slow:node=1,start=50,end=50", "must end after it starts");
+  ExpectRejected("dup:src=0,dst=1,start=80,end=20",
+                 "must end after it starts");
+}
+
+TEST(ParseFaultSpecTest, RejectsSlowFaultsThatDoNotSlow) {
+  ExpectRejected("slow:node=0,factor=0", "factor >= 1 or add > 0");
+  ExpectRejected("slow:node=0,factor=0.5,add=0", "factor >= 1 or add > 0");
+  kvs::FaultSchedule schedule;
+  EXPECT_TRUE(ParseFaultSpec("slow:node=0,factor=0,add=5", 1000.0, &schedule)
+                  .ok());
+}
+
+TEST(ParseFaultSpecTest, RejectsFlapPeriodsThatAreNotPositive) {
+  ExpectRejected("flap:node=1,up=0", "up > 0 and down > 0");
+  ExpectRejected("flap:node=1,up=300,down=-5", "up > 0 and down > 0");
+}
+
+TEST(ParseFaultSpecTest, RejectsGrayMixesNoClusterCanRun) {
+  ExpectRejected("gray:replicas=1", "replicas >= 2");
+  ExpectRejected("gray:replicas=2.5",
+                 "replicas must be a non-negative integer");
+  ExpectRejected("gray:interarrival=0", "interarrival > 0 and duration > 0");
+  ExpectRejected("gray:duration=-1", "interarrival > 0 and duration > 0");
+  ExpectRejected("gray:seed=-7", "seed must be a non-negative integer");
+  // The replicas= fallback comes from the quorum size.
+  FaultOptions faults;
+  faults.specs = "gray:seed=7";
+  EXPECT_FALSE(faults.Build(1000.0, /*default_gray_replicas=*/1).ok());
+}
+
+TEST(FaultOptionsTest, DefaultedEndIsCheckedAgainstTheRealHorizon) {
+  // Validate does not know the run's end, so a late start= passes there;
+  // Build rejects it when the run ends first.
+  FaultOptions faults;
+  faults.specs = "slow:node=2,start=5000";
+  EXPECT_TRUE(faults.Validate().ok());
+  EXPECT_TRUE(faults.Build(20000.0).ok());
+  const auto built = faults.Build(1000.0);
+  ASSERT_FALSE(built.ok());
+  EXPECT_NE(built.status().message().find("the run's end"), std::string::npos);
+}
+
+TEST(FaultOptionsTest, EveryDocumentedSpecParses) {
+  // The spec strings of the CLI help, README, benches and tests.
+  for (const char* spec : {
+           "slow:node=2,factor=10",
+           "slow:node=2,factor=10,add=0",
+           "slow:node=0,factor=10",
+           "slow:node=0,factor=20",
+           "slow:node=0,factor=5",
+           "slow:node=1",
+           "slow:node=2,factor=10,start=10000",
+           "lossy:src=0,dst=4,loss=0.8",
+           "lossy:src=0,dst=4,loss=0.8,g2b=0.02,b2g=0.2",
+           "dup:src=0,dst=4",
+           "dup:src=0,dst=4,p=1",
+           "flap:node=2,up=300,down=200",
+           "flap:node=1,up=10,down=10",
+           "oneway:src=0,dst=4",
+           "oneway:src=1,dst=2",
+           "gray:seed=7",
+           "gray:seed=7,interarrival=4000,duration=1500",
+       }) {
+    FaultOptions faults;
+    faults.specs = spec;
+    EXPECT_TRUE(faults.Validate().ok()) << spec;
+    const auto built = faults.Build(/*horizon_ms=*/20000.0);
+    ASSERT_TRUE(built.ok()) << spec << ": " << built.status().message();
+    EXPECT_FALSE(built.value().faults().empty()) << spec;
+  }
+}
+
 TEST(FaultOptionsTest, ValidateDryRunsSemicolonSeparatedSpecs) {
   FaultOptions faults;
   EXPECT_FALSE(faults.any());

@@ -26,19 +26,20 @@ TEST(LocalCoordinatorModelTest, LocalReplicaHasZeroLegs) {
   const auto model =
       MakeLocalCoordinatorModel(base, 3, /*same_coordinator=*/true);
   Rng rng(1);
-  std::vector<ReplicaLegSample> legs;
+  const int n = 3;
+  std::vector<double> legs(4 * n);  // leg-major: w | a | r | s
   for (int trial = 0; trial < 500; ++trial) {
-    model->SampleTrial(rng, &legs);
+    model->SampleTrialSoA(rng, legs.data());
     int local = 0;
-    for (const auto& leg : legs) {
-      if (leg.w == 0.0) {
+    for (int i = 0; i < n; ++i) {
+      if (legs[i] == 0.0) {
         ++local;
         // Same coordinator: the local replica is local for all four legs.
-        EXPECT_EQ(leg.a, 0.0);
-        EXPECT_EQ(leg.r, 0.0);
-        EXPECT_EQ(leg.s, 0.0);
+        EXPECT_EQ(legs[n + i], 0.0);
+        EXPECT_EQ(legs[2 * n + i], 0.0);
+        EXPECT_EQ(legs[3 * n + i], 0.0);
       } else {
-        EXPECT_EQ(leg.w, 5.0);
+        EXPECT_EQ(legs[i], 5.0);
       }
     }
     EXPECT_EQ(local, 1);

@@ -421,7 +421,12 @@ int CmdSimulate(const Args& args) {
   }
   const kvs::StalenessExperimentOptions options =
       config.BuildExperiment().value();
-  const kvs::FaultSchedule faults = config.BuildFaultSchedule().value();
+  const StatusOr<kvs::FaultSchedule> built = config.BuildFaultSchedule();
+  if (!built.ok()) {
+    std::cerr << built.status().message() << "\n";
+    return 1;
+  }
+  const kvs::FaultSchedule& faults = built.value();
 
   const auto result =
       config.faults.any()
