@@ -46,7 +46,12 @@ int main(int argc, char** argv) {
   objective.read_weight = read_fraction;
   objective.write_weight = 1.0 - read_fraction;
 
-  const auto candidates = optimizer.EnumerateAll(constraints, objective);
+  const auto scored = optimizer.EnumerateAll(constraints, objective);
+  if (!scored.ok()) {
+    std::cerr << scored.status().message() << "\n";
+    return 1;
+  }
+  const auto& candidates = scored.value();
   if (candidates.empty() || !candidates.front().feasible) {
     std::cout << "No configuration satisfies this SLA within N <= "
               << constraints.max_n << ". Relax the window or probability.\n";

@@ -6,12 +6,10 @@
 #include <cstdlib>
 #include <limits>
 #include <memory>
-#include <sstream>
 #include <utility>
 
 #include "core/analytic.h"
-#include "core/latency.h"
-#include "core/tvisibility.h"
+#include "core/predictor.h"
 #include "util/math.h"
 #include "util/stats.h"
 
@@ -242,194 +240,31 @@ MixedQuorumPredictor::MixedQuorumPredictor(const SlaTarget& sla,
   assert(model_ != nullptr && model_->num_replicas() == probe.n);
   assert(probe.IsValid());
   assert(options_.trials > 0);
-  if (options_.backend == PredictorBackend::kMonteCarlo) {
-    resolved_ = PredictorBackend::kMonteCarlo;
-    return;
+  PredictorOptions resolve;
+  resolve.trials = options_.trials;
+  resolve.seed = kSpotCheckSeed;
+  resolve.exec = options_.exec;
+  resolve.backend = options_.backend;
+  resolve.grid = options_.grid;
+  auto scenario = ResolveAnalyticScenario(
+      model_, resolve, QuorumConfig{probe.n, probe.r_hi, probe.w}, &note_);
+  if (scenario.ok()) {
+    scenario_ = std::move(scenario.value());
+  } else {
+    note_ = scenario.status().message() + "; using Monte Carlo";
   }
-  const WarsDistributions* legs = model_->IidLegs();
-  if (legs == nullptr) {
-    note_ = PredictorBackendName(options_.backend) + std::string(": ") +
-            model_->Describe() +
-            " is not IID across replicas; using Monte Carlo";
-    resolved_ = PredictorBackend::kMonteCarlo;
-    return;
-  }
-  auto scenario = MakeAnalyticScenario(*legs, options_.grid);
-  if (!scenario.ok()) {
-    note_ = PredictorBackendName(options_.backend) + std::string(": ") +
-            scenario.status().message() + "; using Monte Carlo";
-    resolved_ = PredictorBackend::kMonteCarlo;
-    return;
-  }
-  scenario_ = std::move(scenario.value());
-  if (options_.backend == PredictorBackend::kAuto) {
-    // Spot-check the probe quorum: the analytic evaluation must match a
-    // small Monte Carlo run on the two quantities decisions hinge on.
-    const MixedQuorumEvaluation analytic = EvaluateMixedQuorumAnalytic(
-        probe, sla_, scenario_, options_.read_fanout);
-    const MixedQuorumEvaluation mc = EvaluateMixedQuorum(
-        probe, sla_, model_, kAutoSpotCheckTrials, kSpotCheckSeed,
-        options_.read_fanout, options_.exec);
-    std::ostringstream why;
-    if (std::abs(analytic.fresh_probability - mc.fresh_probability) >
-        kAutoConsistencyTol) {
-      why << "fresh probability " << analytic.fresh_probability << " vs mc "
-          << mc.fresh_probability;
-    } else if (std::abs(analytic.read_p99_ms - mc.read_p99_ms) >
-               kAutoLatencyRelTol * mc.read_p99_ms + kAutoLatencyAbsTolMs) {
-      why << "read p99 " << analytic.read_p99_ms << " vs mc " << mc.read_p99_ms
-          << " ms";
-    }
-    if (why.tellp() != 0) {
-      note_ = "auto: analytic failed the MC spot-check (" + why.str() +
-              "); using Monte Carlo";
-      resolved_ = PredictorBackend::kMonteCarlo;
-      scenario_.reset();
-      return;
-    }
-  }
-  resolved_ = PredictorBackend::kAnalytic;
 }
 
 MixedQuorumPredictor::~MixedQuorumPredictor() = default;
 
 MixedQuorumEvaluation MixedQuorumPredictor::Evaluate(const MixedQuorum& quorum,
                                                      uint64_t seed) const {
-  if (resolved_ == PredictorBackend::kAnalytic) {
+  if (scenario_ != nullptr) {
     return EvaluateMixedQuorumAnalytic(quorum, sla_, scenario_,
                                        options_.read_fanout);
   }
   return EvaluateMixedQuorum(quorum, sla_, model_, options_.trials, seed,
                              options_.read_fanout, options_.exec);
-}
-
-AdaptiveConfigController::AdaptiveConfigController(
-    QuorumConfig initial, const AdaptiveControllerOptions& options)
-    : current_(initial), options_(options) {
-  assert(initial.IsValid());
-  assert(options.trials_per_eval > 0);
-  assert(options.switch_improvement_factor > 0.0 &&
-         options.switch_improvement_factor <= 1.0);
-}
-
-AdaptiveConfigController::Evaluation AdaptiveConfigController::Evaluate(
-    const QuorumConfig& config, const ReplicaLatencyModelPtr& model,
-    uint64_t seed, const AnalyticScenarioPtr& scenario) const {
-  Evaluation eval;
-  if (scenario != nullptr) {
-    const AnalyticWars wars(config, scenario);
-    eval.t_visibility_ms =
-        wars.ApproxTimeForConsistency(options_.consistency_probability);
-    const double p = options_.latency_percentile / 100.0;
-    eval.objective_ms =
-        options_.read_weight * wars.ReadLatencyQuantile(p) +
-        options_.write_weight * wars.WriteLatencyQuantile(p);
-    eval.feasible = eval.t_visibility_ms <= options_.max_t_visibility_ms;
-    return eval;
-  }
-  WarsTrialSet set =
-      RunWarsTrials(config, model, options_.trials_per_eval, seed,
-                    /*want_propagation=*/false, ReadFanout::kAllN,
-                    options_.exec);
-  const TVisibilityCurve curve(std::move(set.staleness_thresholds));
-  const LatencyProfile reads(std::move(set.read_latencies));
-  const LatencyProfile writes(std::move(set.write_latencies));
-  eval.t_visibility_ms =
-      curve.TimeForConsistency(options_.consistency_probability);
-  eval.objective_ms =
-      options_.read_weight * reads.Percentile(options_.latency_percentile) +
-      options_.write_weight * writes.Percentile(options_.latency_percentile);
-  eval.feasible = eval.t_visibility_ms <= options_.max_t_visibility_ms;
-  return eval;
-}
-
-QuorumConfig AdaptiveConfigController::Update(
-    const ReplicaLatencyModelPtr& model) {
-  assert(model != nullptr);
-  assert(model->num_replicas() == current_.n);
-  ++epoch_;
-
-  // Resolve the evaluation engine for this epoch (the model may change
-  // between epochs, so kAuto re-checks every time). A null scenario means
-  // Monte Carlo; the default-kMonteCarlo path below is byte-for-byte the
-  // historical one, so decision streams and their digests are unchanged.
-  const uint64_t base_seed = options_.seed + epoch_ * 1000003ULL;
-  AnalyticScenarioPtr scenario;
-  if (options_.backend != PredictorBackend::kMonteCarlo) {
-    const WarsDistributions* legs = model->IidLegs();
-    assert((legs != nullptr ||
-            options_.backend != PredictorBackend::kAnalytic) &&
-           "backend=analytic requires an IID latency model");
-    if (legs != nullptr) {
-      auto made = MakeAnalyticScenario(*legs, options_.grid);
-      assert(made.ok() && "invalid AdaptiveControllerOptions::grid");
-      if (made.ok()) scenario = std::move(made.value());
-    }
-    if (scenario != nullptr &&
-        options_.backend == PredictorBackend::kAuto) {
-      // Spot-check on the incumbent: its Monte Carlo evaluation is needed
-      // anyway when the check fails, and under agreement the analytic
-      // engine re-evaluates it below for a consistent candidate ranking.
-      const Evaluation mc = Evaluate(current_, model, base_seed, nullptr);
-      const Evaluation an = Evaluate(current_, model, base_seed, scenario);
-      const auto close = [](double a, double m) {
-        return std::abs(a - m) <=
-               kAutoLatencyRelTol * std::abs(m) + kAutoLatencyAbsTolMs;
-      };
-      if (!close(an.objective_ms, mc.objective_ms) ||
-          !close(an.t_visibility_ms, mc.t_visibility_ms)) {
-        scenario.reset();
-      }
-    }
-  }
-  last_backend_ = scenario != nullptr ? PredictorBackend::kAnalytic
-                                      : PredictorBackend::kMonteCarlo;
-
-  // Evaluate the incumbent and every challenger under the current model.
-  Evaluation incumbent = Evaluate(current_, model, base_seed, scenario);
-
-  QuorumConfig best = current_;
-  Evaluation best_eval = incumbent;
-  uint64_t salt = 1;
-  for (int r = 1; r <= current_.n; ++r) {
-    for (int w = 1; w <= current_.n; ++w) {
-      const QuorumConfig candidate{current_.n, r, w};
-      if (candidate == current_) continue;
-      const Evaluation eval =
-          Evaluate(candidate, model, base_seed + salt++, scenario);
-      const bool better =
-          (eval.feasible && !best_eval.feasible) ||
-          (eval.feasible == best_eval.feasible &&
-           eval.objective_ms < best_eval.objective_ms);
-      if (better) {
-        best = candidate;
-        best_eval = eval;
-      }
-    }
-  }
-
-  // Hysteresis: keep a feasible incumbent unless the challenger is a clear
-  // win; always leave an infeasible incumbent for the best feasible option.
-  bool switch_now = false;
-  if (!incumbent.feasible && best_eval.feasible) {
-    switch_now = true;
-  } else if (best_eval.feasible == incumbent.feasible &&
-             best_eval.objective_ms <
-                 options_.switch_improvement_factor *
-                     incumbent.objective_ms) {
-    switch_now = true;
-  }
-
-  Decision decision;
-  decision.switched = switch_now && !(best == current_);
-  if (switch_now) current_ = best;
-  decision.chosen = current_;
-  const Evaluation& chosen_eval = switch_now ? best_eval : incumbent;
-  decision.objective_ms = chosen_eval.objective_ms;
-  decision.t_visibility_ms = chosen_eval.t_visibility_ms;
-  decision.feasible = chosen_eval.feasible;
-  history_.push_back(decision);
-  return current_;
 }
 
 }  // namespace pbs

@@ -106,11 +106,10 @@ MixedQuorumEvaluation EvaluateMixedQuorumAnalytic(
 /// and a latency model, answering Evaluate(quorum, seed) through whichever
 /// engine its options select — the Monte Carlo arms (exactly
 /// EvaluateMixedQuorum), or the analytic scenario (EvaluateMixedQuorumAnalytic,
-/// ignoring `seed`). kAuto resolves at construction: non-IID models fall
-/// back to Monte Carlo outright; IID models keep the analytic engine only
-/// when its evaluation of the `probe` quorum agrees with a small Monte
-/// Carlo run within the kAuto* tolerances of core/backend.h. The
-/// consistency controller builds one of these per control epoch.
+/// ignoring `seed`). The backend resolves at construction through
+/// ResolveAnalyticScenario (core/predictor.h), probing the fixed arm
+/// (n, r_hi, w) of `probe`. The consistency controller builds one of these
+/// per control epoch.
 class MixedQuorumPredictor {
  public:
   struct Options {
@@ -134,7 +133,10 @@ class MixedQuorumPredictor {
                                  uint64_t seed) const;
 
   /// The engine actually answering (kAuto resolved; never kAuto itself).
-  PredictorBackend backend() const { return resolved_; }
+  PredictorBackend backend() const {
+    return scenario_ != nullptr ? PredictorBackend::kAnalytic
+                                : PredictorBackend::kMonteCarlo;
+  }
   /// Why kAuto / kAnalytic resolved to Monte Carlo (empty when analytic
   /// stuck, or when Monte Carlo was asked for directly).
   const std::string& note() const { return note_; }
@@ -143,102 +145,8 @@ class MixedQuorumPredictor {
   SlaTarget sla_;
   ReplicaLatencyModelPtr model_;
   Options options_;
-  PredictorBackend resolved_ = PredictorBackend::kMonteCarlo;
-  AnalyticScenarioPtr scenario_;
+  AnalyticScenarioPtr scenario_;  // null: Monte Carlo answers
   std::string note_;
-};
-
-/// Section 6 "Variable configurations": periodically re-pick R and W (N is
-/// fixed by durability/placement) as the environment's latency
-/// distributions drift, keeping a staleness SLA while minimizing latency.
-struct AdaptiveControllerOptions {
-  /// The SLA: reads consistent within `max_t_visibility_ms` of commit with
-  /// probability `consistency_probability`.
-  double consistency_probability = 0.999;
-  double max_t_visibility_ms = 10.0;
-
-  /// Objective: weighted read/write latency at this percentile.
-  double latency_percentile = 99.9;
-  double read_weight = 0.5;
-  double write_weight = 0.5;
-
-  /// Hysteresis: only switch away from the current (still feasible)
-  /// configuration when the challenger's objective is below
-  /// `switch_improvement_factor` times the current one. Prevents flapping
-  /// between near-equivalent configs on Monte Carlo noise.
-  double switch_improvement_factor = 0.9;
-
-  /// Monte Carlo budget per candidate per Update() call.
-  int trials_per_eval = 20000;
-
-  uint64_t seed = 1;
-
-  /// Thread count and chunking for each candidate evaluation; results do
-  /// not depend on the thread count.
-  PbsExecutionOptions exec;
-
-  /// Which engine evaluates candidates (DESIGN.md §12). kMonteCarlo keeps
-  /// the historical per-epoch trial runs; kAnalytic evaluates the whole
-  /// (R, W) lattice off one scenario grid (O(bins log bins) to build, then
-  /// O(bins * n) per candidate — orders of magnitude cheaper per epoch);
-  /// kAuto spot-checks the analytic engine against the incumbent's Monte
-  /// Carlo evaluation each Update and falls back when they disagree.
-  PredictorBackend backend = PredictorBackend::kMonteCarlo;
-  /// Analytic grid shape. Coarser than the predictor default: the
-  /// controller compares candidates, so grid bias common to all of them
-  /// cancels, and epochs should stay cheap.
-  AnalyticGridOptions grid{2000.0, 8000};
-};
-
-/// Online controller. Feed it the latest latency model (measured online or
-/// assumed) each control epoch; it returns the configuration to run with.
-class AdaptiveConfigController {
- public:
-  /// One evaluated control decision (also kept in history()).
-  struct Decision {
-    QuorumConfig chosen;
-    double objective_ms = 0.0;
-    double t_visibility_ms = 0.0;
-    bool feasible = false;  // chosen config meets the SLA
-    bool switched = false;  // differs from the previous epoch's config
-  };
-
-  AdaptiveConfigController(QuorumConfig initial,
-                           const AdaptiveControllerOptions& options);
-
-  /// Re-evaluates all (R, W) pairs for the fixed N under `model` and
-  /// returns the recommended configuration. The current configuration is
-  /// retained unless it became infeasible or a challenger beats it by the
-  /// hysteresis margin. The options' backend picks the evaluator per call
-  /// (the model may change between epochs): under kAnalytic every candidate
-  /// shares one scenario grid; under kAuto the analytic engine must first
-  /// agree with the incumbent's Monte Carlo evaluation within the kAuto
-  /// latency tolerances of core/backend.h (the spot-check reuses the
-  /// incumbent's trials_per_eval evaluation), else this epoch runs on
-  /// Monte Carlo.
-  QuorumConfig Update(const ReplicaLatencyModelPtr& model);
-
-  const QuorumConfig& current() const { return current_; }
-  const std::vector<Decision>& history() const { return history_; }
-  /// Engine used by the most recent Update (kAuto resolved per epoch).
-  PredictorBackend last_backend() const { return last_backend_; }
-
- private:
-  struct Evaluation {
-    double objective_ms = 0.0;
-    double t_visibility_ms = 0.0;
-    bool feasible = false;
-  };
-  /// Monte Carlo when `scenario` is null, analytic (seed unused) otherwise.
-  Evaluation Evaluate(const QuorumConfig& config,
-                      const ReplicaLatencyModelPtr& model, uint64_t seed,
-                      const AnalyticScenarioPtr& scenario) const;
-
-  QuorumConfig current_;
-  AdaptiveControllerOptions options_;
-  uint64_t epoch_ = 0;
-  std::vector<Decision> history_;
-  PredictorBackend last_backend_ = PredictorBackend::kMonteCarlo;
 };
 
 }  // namespace pbs

@@ -23,14 +23,16 @@ class MonteCarloEngine final : public PredictionEngine {
     trials_ = RunWarsTrials(config, model, options.trials, options.seed,
                             options.collect_propagation, ReadFanout::kAllN,
                             options.exec);
-    // The curve/profile constructors sort their inputs; copy the columns the
-    // trial set still needs (thresholds are only used by the curve).
+    // The curve/profile constructors sort the columns they take; afterwards
+    // the trial set keeps only the propagation column, for EmpiricalPwAt.
     t_visibility_ = std::make_unique<TVisibilityCurve>(
         std::move(trials_.staleness_thresholds));
     trials_.staleness_thresholds.clear();
     latencies_ = std::make_unique<OperationLatencies>(OperationLatencies{
-        LatencyProfile(trials_.read_latencies),
-        LatencyProfile(trials_.write_latencies)});
+        LatencyProfile(std::move(trials_.read_latencies)),
+        LatencyProfile(std::move(trials_.write_latencies))});
+    trials_.read_latencies.clear();
+    trials_.write_latencies.clear();
   }
 
   PredictorBackend kind() const override {
@@ -173,60 +175,59 @@ std::string SpotCheckAnalytic(const QuorumConfig& config,
 
 }  // namespace
 
+StatusOr<AnalyticScenarioPtr> ResolveAnalyticScenario(
+    const ReplicaLatencyModelPtr& model, const PredictorOptions& options,
+    const QuorumConfig& probe, std::string* note) {
+  if (note != nullptr) note->clear();
+  const Status status = ValidateEngineInputs(probe, model, options);
+  if (!status.ok()) return status;
+  if (options.backend == PredictorBackend::kMonteCarlo) {
+    return AnalyticScenarioPtr();
+  }
+  const WarsDistributions* legs = model->IidLegs();
+  if (legs == nullptr) {
+    if (options.backend == PredictorBackend::kAnalytic) {
+      return Status::InvalidArgument(
+          "backend=analytic requires an IID latency model (" +
+          model->Describe() +
+          " is not); use backend=auto to fall back to Monte Carlo");
+    }
+    if (note != nullptr) {
+      *note = "auto: " + model->Describe() +
+              " is not IID across replicas; using Monte Carlo";
+    }
+    return AnalyticScenarioPtr();
+  }
+  auto scenario = MakeAnalyticScenario(*legs, options.grid);
+  if (!scenario.ok() || options.backend != PredictorBackend::kAuto) {
+    return scenario;
+  }
+  const std::string mismatch = SpotCheckAnalytic(
+      probe, model, options, AnalyticEngine(probe, scenario.value()));
+  if (mismatch.empty()) return scenario;
+  if (note != nullptr) {
+    *note = "auto: analytic failed the MC spot-check (" + mismatch +
+            "); using Monte Carlo";
+  }
+  return AnalyticScenarioPtr();
+}
+
+std::unique_ptr<PredictionEngine> BuildPredictionEngine(
+    const QuorumConfig& config, const ReplicaLatencyModelPtr& model,
+    const PredictorOptions& options, AnalyticScenarioPtr scenario) {
+  if (scenario != nullptr) {
+    return std::make_unique<AnalyticEngine>(config, std::move(scenario));
+  }
+  return std::make_unique<MonteCarloEngine>(config, model, options);
+}
+
 StatusOr<std::unique_ptr<PredictionEngine>> MakePredictionEngine(
     const QuorumConfig& config, const ReplicaLatencyModelPtr& model,
     const PredictorOptions& options, std::string* note) {
-  if (note != nullptr) note->clear();
-  const Status status = ValidateEngineInputs(config, model, options);
-  if (!status.ok()) return status;
-
-  switch (options.backend) {
-    case PredictorBackend::kMonteCarlo:
-      return std::unique_ptr<PredictionEngine>(
-          new MonteCarloEngine(config, model, options));
-
-    case PredictorBackend::kAnalytic: {
-      const WarsDistributions* legs = model->IidLegs();
-      if (legs == nullptr) {
-        return Status::InvalidArgument(
-            "backend=analytic requires an IID latency model (" +
-            model->Describe() +
-            " is not); use backend=auto to fall back to Monte Carlo");
-      }
-      auto scenario = MakeAnalyticScenario(*legs, options.grid);
-      if (!scenario.ok()) return scenario.status();
-      return std::unique_ptr<PredictionEngine>(
-          new AnalyticEngine(config, std::move(scenario.value())));
-    }
-
-    case PredictorBackend::kAuto: {
-      const WarsDistributions* legs = model->IidLegs();
-      if (legs == nullptr) {
-        if (note != nullptr) {
-          *note = "auto: " + model->Describe() +
-                  " is not IID across replicas; using Monte Carlo";
-        }
-        return std::unique_ptr<PredictionEngine>(
-            new MonteCarloEngine(config, model, options));
-      }
-      auto scenario = MakeAnalyticScenario(*legs, options.grid);
-      if (!scenario.ok()) return scenario.status();
-      auto analytic = std::make_unique<AnalyticEngine>(
-          config, std::move(scenario.value()));
-      const std::string mismatch =
-          SpotCheckAnalytic(config, model, options, *analytic);
-      if (mismatch.empty()) {
-        return std::unique_ptr<PredictionEngine>(std::move(analytic));
-      }
-      if (note != nullptr) {
-        *note = "auto: analytic failed the MC spot-check (" + mismatch +
-                "); using Monte Carlo";
-      }
-      return std::unique_ptr<PredictionEngine>(
-          new MonteCarloEngine(config, model, options));
-    }
-  }
-  return Status::InvalidArgument("unknown predictor backend");
+  auto scenario = ResolveAnalyticScenario(model, options, config, note);
+  if (!scenario.ok()) return scenario.status();
+  return BuildPredictionEngine(config, model, options,
+                               std::move(scenario.value()));
 }
 
 StatusOr<PbsPredictor> PbsPredictor::Create(const QuorumConfig& config,

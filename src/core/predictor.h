@@ -64,14 +64,34 @@ class PredictionEngine {
   virtual std::vector<double> WritePropagationCdfAt(double t) const = 0;
 };
 
-/// Builds the engine selected by `options.backend` after validating the
-/// inputs (quorum shape, model, trial budget, grid). kAnalytic demands an
-/// IID model (ReplicaLatencyModel::IidLegs) and fails otherwise; kAuto
-/// falls back to Monte Carlo for non-IID models, and for IID models keeps
-/// the analytic engine only when it passes the spot-check against a small
-/// MC run (the kAuto* constants in core/backend.h). When `note` is non-null
-/// it receives a human-readable reason whenever kAuto resolves away from
-/// analytic.
+class AnalyticScenario;  // core/analytic.h
+using AnalyticScenarioPtr = std::shared_ptr<const AnalyticScenario>;
+
+/// The prediction layer's one backend decision (DESIGN.md §12.3). Validates
+/// the inputs (quorum shape of `probe`, model, trial budget, grid), then
+/// returns the scenario grid the analytic engine answers from, or null when
+/// Monte Carlo answers. kMonteCarlo resolves to null. kAnalytic demands an
+/// IID model (ReplicaLatencyModel::IidLegs) and fails otherwise. kAuto
+/// resolves to null for non-IID models, and for IID models keeps the
+/// scenario only when the analytic engine for `probe` passes the
+/// spot-check against a small MC run seeded with options.seed (the kAuto*
+/// constants in core/backend.h). When `note` is non-null it receives a
+/// human-readable reason whenever kAuto resolves away from analytic, and is
+/// cleared otherwise. One resolution serves every configuration of the
+/// probe's N.
+StatusOr<AnalyticScenarioPtr> ResolveAnalyticScenario(
+    const ReplicaLatencyModelPtr& model, const PredictorOptions& options,
+    const QuorumConfig& probe, std::string* note = nullptr);
+
+/// Builds the engine for `config` on a resolved scenario: the analytic
+/// engine when `scenario` is non-null, else a Monte Carlo run of
+/// `options.trials`. The inputs must have passed ResolveAnalyticScenario.
+std::unique_ptr<PredictionEngine> BuildPredictionEngine(
+    const QuorumConfig& config, const ReplicaLatencyModelPtr& model,
+    const PredictorOptions& options, AnalyticScenarioPtr scenario);
+
+/// ResolveAnalyticScenario with `config` as the probe, then
+/// BuildPredictionEngine.
 StatusOr<std::unique_ptr<PredictionEngine>> MakePredictionEngine(
     const QuorumConfig& config, const ReplicaLatencyModelPtr& model,
     const PredictorOptions& options, std::string* note = nullptr);

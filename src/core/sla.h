@@ -5,6 +5,7 @@
 #include <functional>
 #include <vector>
 
+#include "core/backend.h"
 #include "core/quorum_config.h"
 #include "core/wars.h"
 #include "util/status.h"
@@ -29,6 +30,10 @@ struct SlaConstraints {
   /// must be consistent within `max_t_visibility_ms` of a write commit.
   double consistency_probability = 0.999;
   double max_t_visibility_ms = 10.0;
+
+  /// InvalidArgument unless p in (0, 1], max t >= 0, 1 <= min_n <= max_n
+  /// and min_write_quorum >= 1.
+  Status Validate() const;
 };
 
 /// Objective: minimize a weighted combination of read and write latency at
@@ -37,6 +42,10 @@ struct SlaObjective {
   double latency_percentile = 99.9;
   double read_weight = 0.5;
   double write_weight = 0.5;
+
+  /// InvalidArgument unless the percentile is in [0, 100] and both weights
+  /// are >= 0.
+  Status Validate() const;
 };
 
 /// One evaluated configuration.
@@ -49,23 +58,41 @@ struct SlaCandidate {
   bool feasible = false;
 };
 
-/// Enumerates and scores quorum configurations against an SLA via WARS
-/// Monte Carlo. The caller provides a latency-model factory because the
-/// model depends on N (e.g. MakeIidModel(LnkdDisk(), n)).
+/// Hysteresis margin of every re-pick: a challenger replaces a feasible
+/// incumbent only when its objective is below this fraction of the
+/// incumbent's, so near-equivalent configurations do not flap on Monte
+/// Carlo noise. Shared by Repick and kvs::ConsistencyController.
+inline constexpr double kSwitchImprovementFactor = 0.9;
+
+/// Enumerates and scores quorum configurations against an SLA through the
+/// prediction engines of core/predictor.h. The caller provides a
+/// latency-model factory because the model depends on N (e.g.
+/// MakeIidModel(LnkdDisk(), n)).
 class SlaOptimizer {
  public:
   using ModelFactory = std::function<ReplicaLatencyModelPtr(int n)>;
 
+  /// Grid of the analytic engine (kAnalytic, kAuto). Coarser than the
+  /// predictor default: the optimizer compares candidates, so grid bias
+  /// common to all of them cancels.
+  static constexpr AnalyticGridOptions kGrid{2000.0, 8000, true};
+
+  /// Every candidate is scored from `trials_per_config` Monte Carlo trials
+  /// seeded with `seed` (common random numbers across candidates), or from
+  /// one analytic scenario per N when `backend` resolves to analytic.
   SlaOptimizer(ModelFactory factory, int trials_per_config, uint64_t seed,
-               const PbsExecutionOptions& exec = {});
+               const PbsExecutionOptions& exec = {},
+               PredictorBackend backend = PredictorBackend::kMonteCarlo);
 
-  /// Scores every (n, r, w) in the constraint box, sorted by objective
-  /// (feasible first).
-  std::vector<SlaCandidate> EnumerateAll(const SlaConstraints& constraints,
-                                         const SlaObjective& objective) const;
+  /// Scores every (n, r, w) in the constraint box, sorted feasible first,
+  /// then by objective; ties keep enumeration order (n, then r, then w).
+  /// InvalidArgument for invalid constraints or objective, or a model the
+  /// backend cannot serve.
+  StatusOr<std::vector<SlaCandidate>> EnumerateAll(
+      const SlaConstraints& constraints, const SlaObjective& objective) const;
 
-  /// Best feasible configuration, or NotFound if the SLA is unsatisfiable
-  /// within the box.
+  /// Best feasible configuration; NotFound if the SLA is unsatisfiable
+  /// within the box, or EnumerateAll's error.
   StatusOr<SlaCandidate> Optimize(const SlaConstraints& constraints,
                                   const SlaObjective& objective) const;
 
@@ -74,7 +101,17 @@ class SlaOptimizer {
   int trials_per_config_;
   uint64_t seed_;
   PbsExecutionOptions exec_;
+  PredictorBackend backend_;
 };
+
+/// Section 6 "Variable configurations": re-picks the configuration to run
+/// from one EnumerateAll scoring (non-empty) of the current model. An
+/// infeasible incumbent yields to the best feasible cell; a feasible one,
+/// or an infeasible one when no cell is feasible, yields only to a cell
+/// whose objective is below kSwitchImprovementFactor times its own. An
+/// incumbent missing from `scored` yields to the best cell.
+SlaCandidate Repick(const QuorumConfig& incumbent,
+                    const std::vector<SlaCandidate>& scored);
 
 }  // namespace pbs
 

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "core/backend.h"
+#include "core/sla.h"
 #include "dist/empirical.h"
 #include "kvs/cluster.h"
 #include "obs/json.h"
@@ -24,6 +25,12 @@ constexpr double kRollbackTolerance = 0.1;
 
 // Hedge-quantile step per epoch when latency needs tightening.
 constexpr double kHedgeQuantileStep = 0.04;
+
+// Mix-probability step per epoch (McKenzie fractional quorums).
+constexpr double kMixStep = 0.25;
+
+// Epochs to hold after a rollback before trying another step.
+constexpr int kCooldownEpochs = 2;
 
 // FNV-1a 64-bit, folded over raw bytes.
 inline uint64_t FnvFold(uint64_t hash, const void* data, size_t size) {
@@ -291,7 +298,7 @@ void ConsistencyController::Tick() {
     if (fresh_broken || latency_broken) {
       Actuate(pre_step_);
       current = pre_step_;
-      cooldown_ = opts.cooldown_epochs;
+      cooldown_ = kCooldownEpochs;
       ++cluster_->metrics().controller_rollbacks;
       decision.action = "rollback:" + last_step_action_;
       AppendHistory([&] {
@@ -389,10 +396,10 @@ void ConsistencyController::Tick() {
   if (q.mixing()) {
     candidates.push_back(
         {"mix+", {q.n, q.r_lo, q.r_hi, q.w,
-                  std::min(1.0, q.mix + opts.mix_step)}});
+                  std::min(1.0, q.mix + kMixStep)}});
     candidates.push_back(
         {"mix-", {q.n, q.r_lo, q.r_hi, q.w,
-                  std::max(0.0, q.mix - opts.mix_step)}});
+                  std::max(0.0, q.mix - kMixStep)}});
     if (q.r_lo > 1) {
       candidates.push_back({"r_lo-", {q.n, q.r_lo - 1, q.r_hi, q.w, q.mix}});
     }
@@ -416,7 +423,7 @@ void ConsistencyController::Tick() {
       candidates.push_back(
           {"r_hi-", {q.n, q.r_hi - 1, q.r_hi - 1, q.w, 0.0}});
       candidates.push_back(
-          {"mix+", {q.n, q.r_hi - 1, q.r_hi, q.w, opts.mix_step}});
+          {"mix+", {q.n, q.r_hi - 1, q.r_hi, q.w, kMixStep}});
     }
   }
   if (q.w < q.n) {
@@ -478,8 +485,7 @@ void ConsistencyController::Tick() {
       switch_now = true;
     } else if (incumbent_ok && best_eval.feasible &&
                best_eval.read_p99_ms <
-                   opts.switch_improvement_factor *
-                       incumbent_eval.read_p99_ms) {
+                   kSwitchImprovementFactor * incumbent_eval.read_p99_ms) {
       switch_now = true;
     }
   }

@@ -30,17 +30,17 @@ class Cluster;
 ///                over the epoch window.
 ///   2. ROLLBACK— if the previous epoch actuated a step whose predictor
 ///                said "feasible" but the *measured* window violates the
-///                SLA by more than 10%, revert the step and hold for
-///                cooldown_epochs.
+///                SLA by more than 10%, revert the step and hold for two
+///                cooldown epochs.
 ///   3. PREDICT — re-run the WARS engine (core/adaptive's
 ///                EvaluateMixedQuorum) on the incumbent knob state and its
-///                one-knob-step neighbors: mix +/- mix_step, r_lo +/- 1,
+///                one-knob-step neighbors: mix +/- 0.25, r_lo +/- 1,
 ///                r_hi +/- 1, w +/- 1. Candidates that meet both SLA
 ///                clauses are preferred; ties break toward the lowest
 ///                predicted read p99, and a feasible incumbent is only
-///                abandoned for a challenger that beats it by
-///                switch_improvement_factor (hysteresis, as in
-///                AdaptiveConfigController).
+///                abandoned for a challenger whose read p99 is below
+///                kSwitchImprovementFactor (core/sla.h, the hysteresis
+///                margin Repick uses) times its own.
 ///   4. ACTUATE — apply at most ONE guarded knob change through the
 ///                cluster's Update* APIs. Every candidate differs from the
 ///                incumbent in exactly one knob, so no single decision can

@@ -110,19 +110,9 @@ struct ControllerOptions {
 
   /// WARS Monte Carlo budget per candidate per epoch (controller
   /// evaluations run serially inside the cluster for determinism, so this
-  /// is deliberately far below AdaptiveControllerOptions::trials_per_eval).
+  /// is deliberately far below the offline SlaOptimizer budgets of
+  /// bench/adaptive_config and `pbs sla`).
   int trials_per_eval = 1200;
-
-  /// Hysteresis, as in AdaptiveControllerOptions: a challenger must beat
-  /// the incumbent's predicted read p99 by this factor when both meet the
-  /// SLA.
-  double switch_improvement_factor = 0.9;
-
-  /// Mix-probability step per epoch (McKenzie fractional quorums).
-  double mix_step = 0.25;
-
-  /// Epochs to hold after a rollback before trying another step.
-  int cooldown_epochs = 2;
 
   /// Engine behind the per-epoch quorum predictor (DESIGN.md §12).
   /// kMonteCarlo (default) keeps the historical WARS trial runs — decision
@@ -154,19 +144,6 @@ struct ControllerOptions {
     if (trials_per_eval < 1) {
       return Status::InvalidArgument(
           "controller.trials_per_eval must be >= 1");
-    }
-    if (switch_improvement_factor <= 0.0 ||
-        switch_improvement_factor > 1.0) {
-      return Status::InvalidArgument(
-          "controller.switch_improvement_factor must be in (0, 1]");
-    }
-    if (mix_step <= 0.0 || mix_step > 1.0) {
-      return Status::InvalidArgument(
-          "controller.mix_step must be in (0, 1]");
-    }
-    if (cooldown_epochs < 0) {
-      return Status::InvalidArgument(
-          "controller.cooldown_epochs must be >= 0");
     }
     const Status grid =
         AnalyticGridOptions{grid_max_ms, grid_bins, grid_auto_max}.Validate();

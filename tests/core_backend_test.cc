@@ -245,5 +245,27 @@ TEST(MixedQuorumPredictorTest, AnalyticFallsBackInsteadOfFailing) {
   EXPECT_GT(eval.fresh_probability, 0.0);
 }
 
+TEST(MixedQuorumPredictorTest, AutoResolvesThroughTheSharedGuard) {
+  // kAuto resolves through ResolveAnalyticScenario: LNKD-DISK passes the
+  // spot-check on the probe's fixed arm and keeps the analytic engine;
+  // the WAN model is not IID and falls back with a note.
+  SlaTarget sla;
+  sla.fresh_probability = 0.9;
+  sla.staleness_bound_ms = 10.0;
+  sla.read_p99_ms = 50.0;
+  MixedQuorumPredictor::Options options;
+  options.backend = PredictorBackend::kAuto;
+  const MixedQuorumPredictor disk(sla, MakeIidModel(LnkdDisk(), 3),
+                                  MixedQuorum{3, 1, 2, 2, 0.25}, options);
+  EXPECT_EQ(disk.backend(), PredictorBackend::kAnalytic);
+  EXPECT_TRUE(disk.note().empty()) << disk.note();
+
+  options.trials = 500;
+  const MixedQuorumPredictor wan(sla, MakeWanModel(WanLocalBase(), 5),
+                                 MixedQuorum{5, 1, 2, 2, 0.0}, options);
+  EXPECT_EQ(wan.backend(), PredictorBackend::kMonteCarlo);
+  EXPECT_NE(wan.note().find("not IID"), std::string::npos) << wan.note();
+}
+
 }  // namespace
 }  // namespace pbs

@@ -1,10 +1,12 @@
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/adaptive.h"
 #include "core/closed_form.h"
 #include "core/multikey.h"
+#include "core/sla.h"
 #include "dist/primitives.h"
 #include "dist/production.h"
 
@@ -74,21 +76,58 @@ TEST(MultiKeyTVisibilityTest, StrictQuorumImmediatelyConsistent) {
 }
 
 // ---------------------------------------------------------------------------
-// Adaptive controller (Section 6 "Variable configurations")
+// Adaptive (R, W) re-picking (Section 6 "Variable configurations"): the
+// caller holds the incumbent, and each epoch re-scores the lattice for its
+// fixed N under the epoch's model and re-picks under hysteresis.
 
-AdaptiveControllerOptions TestOptions() {
-  AdaptiveControllerOptions options;
-  options.consistency_probability = 0.999;
-  options.max_t_visibility_ms = 5.0;
-  options.trials_per_eval = 15000;
-  options.seed = 99;
-  return options;
+class EpochLoop {
+ public:
+  struct Decision {
+    QuorumConfig chosen;
+    bool feasible = false;
+    bool switched = false;
+  };
+
+  EpochLoop(QuorumConfig initial, SlaConstraints sla)
+      : current_(initial), sla_(sla) {
+    sla_.min_n = initial.n;
+    sla_.max_n = initial.n;
+  }
+
+  QuorumConfig Update(const ReplicaLatencyModelPtr& model) {
+    ++epoch_;
+    const SlaOptimizer optimizer([&model](int) { return model; },
+                                 /*trials_per_config=*/15000,
+                                 /*seed=*/99 + epoch_ * 1000003ULL);
+    const SlaCandidate picked =
+        Repick(current_, optimizer.EnumerateAll(sla_, {}).value());
+    history_.push_back(
+        {picked.config, picked.feasible, !(picked.config == current_)});
+    current_ = picked.config;
+    return current_;
+  }
+
+  const QuorumConfig& current() const { return current_; }
+  const std::vector<Decision>& history() const { return history_; }
+
+ private:
+  QuorumConfig current_;
+  SlaConstraints sla_;
+  uint64_t epoch_ = 0;
+  std::vector<Decision> history_;
+};
+
+SlaConstraints TestSla() {
+  SlaConstraints sla;
+  sla.consistency_probability = 0.999;
+  sla.max_t_visibility_ms = 5.0;
+  return sla;
 }
 
 TEST(AdaptiveControllerTest, KeepsOptimalIncumbentUnderStableConditions) {
   // Under LNKD-SSD, R=W=1 meets a 5 ms SLA and is latency-optimal;
   // repeated updates with the same model must not flap away from it.
-  AdaptiveConfigController controller({3, 1, 1}, TestOptions());
+  EpochLoop controller({3, 1, 1}, TestSla());
   const auto model = MakeIidModel(LnkdSsd(), 3);
   for (int epoch = 0; epoch < 3; ++epoch) {
     controller.Update(model);
@@ -106,7 +145,7 @@ TEST(AdaptiveControllerTest, SwitchesOffSuboptimalIncumbentWithoutHysteresis) {
   // A feasible-but-expensive incumbent ({3,2,1} under SSD) is abandoned
   // for the cheaper feasible R=W=1 because the improvement clears the 0.9
   // hysteresis factor.
-  AdaptiveConfigController controller({3, 2, 1}, TestOptions());
+  EpochLoop controller({3, 2, 1}, TestSla());
   controller.Update(MakeIidModel(LnkdSsd(), 3));
   EXPECT_TRUE(controller.history().back().switched);
   EXPECT_EQ(controller.current(), (QuorumConfig{3, 1, 1}));
@@ -116,7 +155,7 @@ TEST(AdaptiveControllerTest, AbandonsInfeasibleConfigAfterRegimeShift) {
   // Start on R=W=1 under SSD latencies (feasible), then shift to
   // slow-write disk-era latencies: R=W=1 blows the 5 ms SLA and the
   // controller must move to a config that restores it.
-  AdaptiveConfigController controller({3, 1, 1}, TestOptions());
+  EpochLoop controller({3, 1, 1}, TestSla());
   const auto ssd = MakeIidModel(LnkdSsd(), 3);
   controller.Update(ssd);
   EXPECT_EQ(controller.current(), (QuorumConfig{3, 1, 1}));
@@ -136,7 +175,7 @@ TEST(AdaptiveControllerTest, AbandonsInfeasibleConfigAfterRegimeShift) {
 }
 
 TEST(AdaptiveControllerTest, HistoryRecordsEveryEpoch) {
-  AdaptiveConfigController controller({3, 1, 1}, TestOptions());
+  EpochLoop controller({3, 1, 1}, TestSla());
   const auto model = MakeIidModel(LnkdSsd(), 3);
   controller.Update(model);
   controller.Update(model);
@@ -146,10 +185,10 @@ TEST(AdaptiveControllerTest, HistoryRecordsEveryEpoch) {
 TEST(AdaptiveControllerTest, InfeasibleEverywhereStillReportsHonestly) {
   // A 0 ms SLA at 99.99% under heavy-tailed YMMR: only strict quorums
   // qualify; the controller must land on one.
-  AdaptiveControllerOptions options = TestOptions();
-  options.max_t_visibility_ms = 0.0;
-  options.consistency_probability = 0.9999;
-  AdaptiveConfigController controller({3, 1, 1}, options);
+  SlaConstraints sla = TestSla();
+  sla.max_t_visibility_ms = 0.0;
+  sla.consistency_probability = 0.9999;
+  EpochLoop controller({3, 1, 1}, sla);
   controller.Update(MakeIidModel(Ymmr(), 3));
   EXPECT_TRUE(controller.history().back().feasible);
   EXPECT_TRUE(controller.current().IsStrict());

@@ -1,13 +1,14 @@
 // End-to-end closed control loop (the paper's Section 6 vision): profile
-// WARS legs online from the running cluster, feed them to the adaptive
-// controller, and apply its recommendation back to the live cluster —
-// measure online, predict, reconfigure.
+// WARS legs online from the running cluster, feed them to the §6 optimizer
+// (SlaOptimizer + Repick), and apply its recommendation back to the live
+// cluster — measure online, predict, reconfigure.
 
+#include <cstdint>
 #include <optional>
 
 #include <gtest/gtest.h>
 
-#include "core/adaptive.h"
+#include "core/sla.h"
 #include "dist/primitives.h"
 #include "kvs/client.h"
 #include "kvs/cluster.h"
@@ -104,11 +105,23 @@ TEST(ClosedLoopTest, ProfileRecommendApplyAcrossRegimeShift) {
   ClientSession writer(&cluster, cluster.coordinator(0).id(), 1);
   ClientSession reader(&cluster, cluster.coordinator(1).id(), 2);
 
-  AdaptiveControllerOptions controller_options;
-  controller_options.consistency_probability = 0.999;
-  controller_options.max_t_visibility_ms = 10.0;
-  controller_options.trials_per_eval = 20000;
-  AdaptiveConfigController controller(config.quorum, controller_options);
+  // The Section 6 re-pick: score the (R, W) lattice for N=3 under the
+  // profiled model, seeded per epoch, and keep the incumbent under
+  // hysteresis.
+  SlaConstraints sla;
+  sla.min_n = 3;
+  sla.max_n = 3;
+  sla.consistency_probability = 0.999;
+  sla.max_t_visibility_ms = 10.0;
+  uint64_t epoch = 0;
+  const auto repick = [&](const QuorumConfig& incumbent,
+                          const ReplicaLatencyModelPtr& model) {
+    ++epoch;
+    const SlaOptimizer optimizer([&model](int) { return model; },
+                                 /*trials_per_config=*/20000,
+                                 /*seed=*/1 + epoch * 1000003ULL);
+    return Repick(incumbent, optimizer.EnumerateAll(sla, {}).value());
+  };
 
   auto run_phase = [&](int ops, double spacing) {
     LegProfiler profiler;
@@ -128,11 +141,12 @@ TEST(ClosedLoopTest, ProfileRecommendApplyAcrossRegimeShift) {
   // Phase 1 (SSD): profile, recommend, apply.
   const auto ssd_profile = run_phase(3000, 20.0);
   ASSERT_TRUE(ssd_profile.ok());
-  QuorumConfig chosen =
-      controller.Update(MakeIidModel(ssd_profile.value(), 3));
+  SlaCandidate picked =
+      repick(config.quorum, MakeIidModel(ssd_profile.value(), 3));
+  QuorumConfig chosen = picked.config;
   ASSERT_TRUE(cluster.UpdateQuorum(chosen.r, chosen.w).ok());
   EXPECT_EQ(chosen, (QuorumConfig{3, 1, 1}));
-  EXPECT_TRUE(controller.history().back().feasible);
+  EXPECT_TRUE(picked.feasible);
 
   // Regime shift: writes now heavy-tailed (mean 20 ms).
   cluster.UpdateLegs(
@@ -141,10 +155,11 @@ TEST(ClosedLoopTest, ProfileRecommendApplyAcrossRegimeShift) {
   // Phase 2: profile the degraded legs, recommend, apply.
   const auto slow_profile = run_phase(3000, 100.0);
   ASSERT_TRUE(slow_profile.ok());
-  chosen = controller.Update(MakeIidModel(slow_profile.value(), 3));
+  picked = repick(chosen, MakeIidModel(slow_profile.value(), 3));
+  EXPECT_FALSE(picked.config == chosen);  // switched
+  chosen = picked.config;
   ASSERT_TRUE(cluster.UpdateQuorum(chosen.r, chosen.w).ok());
-  EXPECT_TRUE(controller.history().back().switched);
-  EXPECT_TRUE(controller.history().back().feasible)
+  EXPECT_TRUE(picked.feasible)
       << "controller failed to restore the SLA from profiled legs";
 
   // Verify on the live cluster: probe reads immediately after each commit

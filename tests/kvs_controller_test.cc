@@ -131,15 +131,6 @@ TEST(ControllerOptionsTest, ValidatesRanges) {
   EXPECT_TRUE(options.Validate().ok());
   options.epoch_ms = 0.0;
   EXPECT_FALSE(options.Validate().ok());
-  options = {};
-  options.switch_improvement_factor = 1.5;
-  EXPECT_FALSE(options.Validate().ok());
-  options = {};
-  options.mix_step = 0.0;
-  EXPECT_FALSE(options.Validate().ok());
-  options = {};
-  options.cooldown_epochs = -1;
-  EXPECT_FALSE(options.Validate().ok());
 }
 
 TEST(ControllerOptionsTest, EnabledControllerRequiresAnSla) {

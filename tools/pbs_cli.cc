@@ -57,17 +57,20 @@
 // Scenarios: lnkd-ssd | lnkd-disk | ymmr | wan (Table 3 fits of the paper).
 
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <iterator>
+#include <limits>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
-#include "core/analytic.h"
 #include "core/predictor.h"
 #include "core/sla.h"
 #include "dist/fit.h"
@@ -86,7 +89,9 @@ namespace {
 
 using namespace pbs;
 
-/// Minimal --key=value / --flag parser.
+/// Minimal --key=value / --flag parser. Numbers must parse as the whole
+/// string (finite doubles, in-range ints). Each Get* marks its flag read,
+/// so Check() can reject a malformed number or a flag the command ignored.
 class Args {
  public:
   Args(int argc, char** argv, int first) {
@@ -111,35 +116,78 @@ class Args {
 
   std::string GetString(const std::string& key,
                         const std::string& fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
+    const std::string* text = Find(key);
+    return text == nullptr ? fallback : *text;
   }
   double GetDouble(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
+    const std::string* text = Find(key);
+    if (text == nullptr) return fallback;
+    char* end = nullptr;
+    const double value = std::strtod(text->c_str(), &end);
+    if (text->empty() || end != text->c_str() + text->size() ||
+        !std::isfinite(value)) {
+      Fail(key, *text, "a finite number");
+      return fallback;
+    }
+    return value;
   }
   int GetInt(const std::string& key, int fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atoi(it->second.c_str());
+    const std::string* text = Find(key);
+    if (text == nullptr) return fallback;
+    char* end = nullptr;
+    errno = 0;
+    const long value = std::strtol(text->c_str(), &end, 10);
+    if (text->empty() || end != text->c_str() + text->size() ||
+        errno == ERANGE || value < std::numeric_limits<int>::min() ||
+        value > std::numeric_limits<int>::max()) {
+      Fail(key, *text, "a 32-bit integer");
+      return fallback;
+    }
+    return static_cast<int>(value);
   }
   bool GetBool(const std::string& key) const {
-    return values_.count(key) && values_.at(key) != "false";
+    const std::string* text = Find(key);
+    return text != nullptr && *text != "false";
+  }
+
+  /// False, with a message naming the flag, when a number failed to parse
+  /// or a flag went unread. Commands call this once all their flags are
+  /// read and before any work starts.
+  bool Check(const char* command) const {
+    if (!error_.empty()) {
+      std::cerr << "pbs " << command << ": " << error_ << "\n";
+      return false;
+    }
+    for (const auto& [key, value] : values_) {
+      if (read_.count(key) == 0) {
+        std::cerr << "pbs " << command << ": unknown or unused flag --" << key
+                  << "\n";
+        return false;
+      }
+    }
+    return true;
   }
 
  private:
+  const std::string* Find(const std::string& key) const {
+    read_.insert(key);
+    const auto it = values_.find(key);
+    return it == values_.end() ? nullptr : &it->second;
+  }
+  void Fail(const std::string& key, const std::string& text,
+            const char* want) const {
+    if (error_.empty()) error_ = "--" + key + "=" + text + " is not " + want;
+  }
+
   std::map<std::string, std::string> values_;
   bool ok_ = true;
+  // Parse bookkeeping, filled in by the const getters.
+  mutable std::set<std::string> read_;
+  mutable std::string error_;
 };
 
 // Library scenario lookup (pbs/config.h), CLI-flavored: warn and fall back
 // to the paper's LNKD-DISK fits on an unknown name.
-WarsDistributions ScenarioLegsOrDefault(const std::string& name) {
-  const StatusOr<WarsDistributions> legs = pbs::ScenarioLegs(name);
-  if (legs.ok()) return legs.value();
-  std::cerr << legs.status().message() << "; using lnkd-disk\n";
-  return LnkdDisk();
-}
-
 ReplicaLatencyModelPtr ScenarioModelOrDefault(const std::string& name, int n) {
   const StatusOr<ReplicaLatencyModelPtr> model = pbs::ScenarioModel(name, n);
   if (model.ok()) return model.value();
@@ -220,7 +268,7 @@ int CmdPredict(const Args& args) {
   const std::string scenario = args.GetString("scenario", "lnkd-disk");
   PredictorOptions options;
   options.trials = args.GetInt("trials", 200000);
-  if (!ParseBackendFlags(args, &options)) return 1;
+  if (!ParseBackendFlags(args, &options) || !args.Check("predict")) return 1;
   return PrintPrediction(config, ScenarioModelOrDefault(scenario, config.n),
                          options);
 }
@@ -240,10 +288,15 @@ int CmdSla(const Args& args) {
   const double read_fraction = args.GetDouble("read-fraction", 0.5);
   objective.read_weight = read_fraction;
   objective.write_weight = 1.0 - read_fraction;
+  if (!args.Check("sla")) return 1;
   const auto best = optimizer.Optimize(constraints, objective);
-  if (!best.ok()) {
+  if (best.status().code() == StatusCode::kNotFound) {
     std::cout << "no configuration satisfies the SLA: "
               << best.status().message() << "\n";
+    return 1;
+  }
+  if (!best.ok()) {
+    std::cerr << best.status().message() << "\n";
     return 1;
   }
   const auto& c = best.value();
@@ -260,6 +313,10 @@ int CmdLevels(const Args& args) {
   const int n = args.GetInt("n", 3);
   const auto read_level = ParseLevel(args.GetString("read", "one"));
   const auto write_level = ParseLevel(args.GetString("write", "one"));
+  const std::string scenario = args.GetString("scenario", "lnkd-disk");
+  PredictorOptions options;
+  options.trials = args.GetInt("trials", 200000);
+  if (!ParseBackendFlags(args, &options) || !args.Check("levels")) return 1;
   if (!read_level.ok() || !write_level.ok()) {
     std::cerr << (read_level.ok() ? write_level.status().message()
                                   : read_level.status().message())
@@ -272,19 +329,16 @@ int CmdLevels(const Args& args) {
     std::cerr << config.status().message() << "\n";
     return 1;
   }
-  const std::string scenario = args.GetString("scenario", "lnkd-disk");
   std::printf("consistency levels %s/%s at N=%d =>\n",
               kvs::ToString(read_level.value()).c_str(),
               kvs::ToString(write_level.value()).c_str(), n);
-  PredictorOptions options;
-  options.trials = args.GetInt("trials", 200000);
-  if (!ParseBackendFlags(args, &options)) return 1;
   return PrintPrediction(config.value(), ScenarioModelOrDefault(scenario, n),
                          options);
 }
 
 int CmdFit(const Args& args) {
   const std::string path = args.GetString("trace", "");
+  if (!args.Check("fit")) return 1;
   if (path.empty()) {
     std::cerr << "--trace=<file> required (one latency per line)\n";
     return 1;
@@ -413,6 +467,7 @@ int CmdSimulate(const Args& args) {
                          static_cast<size_t>(args.GetInt("windows", 512)));
   }
   if (args.GetBool("monitor")) config.WithMonitor();
+  if (!args.Check("simulate")) return 1;
 
   const Status valid = config.Validate();
   if (!valid.ok()) {
@@ -539,6 +594,8 @@ int CmdSimulate(const Args& args) {
 int CmdReport(const Args& args) {
   const std::string in_path = args.GetString("telemetry", "pbs_telemetry.jsonl");
   const std::string out_path = args.GetString("out", "pbs_report.html");
+  const std::string title = args.GetString("title", "PBS consistency report");
+  if (!args.Check("report")) return 1;
   std::ifstream in(in_path);
   if (!in) {
     std::cerr << "cannot open " << in_path
@@ -547,50 +604,10 @@ int CmdReport(const Args& args) {
   }
   std::string telemetry((std::istreambuf_iterator<char>(in)),
                         std::istreambuf_iterator<char>());
-  const std::string title = args.GetString("title", "PBS consistency report");
   return WriteArtifact(out_path, obs::RenderDashboardHtml(telemetry, title),
                        "consistency dashboard (html)")
              ? 0
              : 1;
-}
-
-int CmdAnalytic(const Args& args) {
-  const QuorumConfig config{args.GetInt("n", 3), args.GetInt("r", 1),
-                            args.GetInt("w", 1)};
-  const Status valid = ValidateQuorumConfig(config);
-  if (!valid.ok()) {
-    std::cerr << valid.message() << "\n";
-    return 1;
-  }
-  const std::string scenario = args.GetString("scenario", "lnkd-disk");
-  if (scenario == "wan") {
-    std::cerr << "the analytic solver assumes IID replicas; WAN is "
-                 "per-replica — use `predict --scenario=wan`\n";
-    return 1;
-  }
-  const AnalyticWars analytic(config, ScenarioLegsOrDefault(scenario),
-                              args.GetDouble("max-ms", 4000.0),
-                              args.GetInt("bins", 20000));
-  std::printf("analytic (grid) WARS for %s over %s:\n",
-              config.ToString().c_str(), scenario.c_str());
-  TextTable table({"metric", "value"});
-  table.AddRow({"write latency p50 (ms, exact)",
-                FormatDouble(analytic.WriteLatencyQuantile(0.5), 3)});
-  table.AddRow({"write latency p99.9 (ms, exact)",
-                FormatDouble(analytic.WriteLatencyQuantile(0.999), 3)});
-  table.AddRow({"read latency p99.9 (ms, exact)",
-                FormatDouble(analytic.ReadLatencyQuantile(0.999), 3)});
-  table.AddRow({"P(consistent, t=0) (approx)",
-                FormatDouble(analytic.ApproxProbConsistent(0.0), 4)});
-  table.AddRow({"P(consistent, t=10ms) (approx)",
-                FormatDouble(analytic.ApproxProbConsistent(10.0), 4)});
-  table.AddRow({"t @ 99.9% (ms, approx)",
-                FormatDouble(analytic.ApproxTimeForConsistency(0.999), 2)});
-  table.Print(std::cout);
-  std::cout << "latencies are exact order statistics; consistency uses the "
-               "documented independence approximation (see "
-               "bench/analytic_vs_mc for its error envelope).\n";
-  return 0;
 }
 
 int CmdPredictTrace(const Args& args) {
@@ -599,33 +616,36 @@ int CmdPredictTrace(const Args& args) {
   struct LegArg {
     const char* flag;
     DistributionPtr* slot;
+    std::string path;
   };
-  LegArg leg_args[] = {{"w", &legs.w}, {"a", &legs.a},
-                       {"rr", &legs.r}, {"s", &legs.s}};
+  LegArg leg_args[] = {{"w", &legs.w, ""}, {"a", &legs.a, ""},
+                       {"rr", &legs.r, ""}, {"s", &legs.s, ""}};
+  for (auto& leg : leg_args) leg.path = args.GetString(leg.flag, "");
+  const QuorumConfig config{args.GetInt("n", 3), args.GetInt("r", 1),
+                            args.GetInt("w-quorum", 1)};
+  PredictorOptions options;
+  options.trials = args.GetInt("trials", 200000);
+  if (!ParseBackendFlags(args, &options) || !args.Check("predict-trace")) {
+    return 1;
+  }
   for (auto& leg : leg_args) {
-    const std::string path = args.GetString(leg.flag, "");
-    if (path.empty()) {
+    if (leg.path.empty()) {
       std::cerr << "--" << leg.flag << "=<trace file> required "
                 << "(legs: --w --a --rr --s)\n";
       return 1;
     }
-    auto dist = LoadTraceDistribution(path);
+    auto dist = LoadTraceDistribution(leg.path);
     if (!dist.ok()) {
       std::cerr << dist.status().message() << "\n";
       return 1;
     }
     *leg.slot = dist.value();
   }
-  const QuorumConfig config{args.GetInt("n", 3), args.GetInt("r", 1),
-                            args.GetInt("w-quorum", 1)};
   const Status valid = ValidateQuorumConfig(config);
   if (!valid.ok()) {
     std::cerr << valid.message() << "\n";
     return 1;
   }
-  PredictorOptions options;
-  options.trials = args.GetInt("trials", 200000);
-  if (!ParseBackendFlags(args, &options)) return 1;
   return PrintPrediction(config, MakeIidModel(legs, config.n), options);
 }
 
@@ -634,7 +654,6 @@ void Usage() {
       "pbs <command> [--key=value ...]\n"
       "commands:\n"
       "  predict        PBS predictions for one (N, R, W) configuration\n"
-      "  analytic       grid-solver predictions (no Monte Carlo)\n"
       "  sla            cheapest configuration meeting a staleness SLA\n"
       "  levels         predictions for Cassandra-style consistency levels\n"
       "  fit            fit a Pareto+Exp mixture to a latency trace file\n"
@@ -656,7 +675,6 @@ int main(int argc, char** argv) {
   const Args args(argc, argv, 2);
   if (!args.ok()) return 1;
   if (command == "predict") return CmdPredict(args);
-  if (command == "analytic") return CmdAnalytic(args);
   if (command == "sla") return CmdSla(args);
   if (command == "levels") return CmdLevels(args);
   if (command == "fit") return CmdFit(args);
